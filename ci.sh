@@ -2,6 +2,8 @@
 # CI gate for the semsim repository. Three tiers, all required:
 #
 #   1. build + vet + full test suite        (functional correctness),
+#      plus internal/obs repeated at -cpu 1,2,4 (bounded traces and
+#      concurrent renders must hold at every CPU count),
 #      plus the observability smoke test: starts the semsim serve
 #      debug server, scrapes /metrics and asserts the core series,
 #      then lints a live /metrics scrape with cmd/promlint (the 0.0.4
@@ -40,6 +42,9 @@ go vet ./...
 
 echo "==> tier 1: tests"
 go test ./...
+
+echo "==> tier 1: obs at every CPU count (span cap, concurrent renders)"
+go test -count=3 -cpu 1,2,4 ./internal/obs/...
 
 echo "==> tier 1: serve observability smoke test"
 go test ./cmd/semsim/ -run TestServeSmoke -count=1

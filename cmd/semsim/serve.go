@@ -46,8 +46,10 @@ package main
 // follows a request across process boundaries.
 //
 // The estimate-quality layer is on by default: the shadow verifier
-// re-scores 1 in -shadow-rate queries on an exact reference backend
-// (semsim_shadow_* series; 0 disables) and the runtime health collector
+// re-scores 1 in -shadow-rate queries on an exact reference backend —
+// by default the linear solve, which reads its normalization from the
+// dense SO table the queries then read too (semsim_shadow_* series; 0
+// disables) — and the runtime health collector
 // polls memory/GC/goroutine gauges every -health-interval
 // (semsim_runtime_* series). With -query-log PATH ("-" for stdout)
 // every request emits one structured JSON wide event
@@ -59,6 +61,11 @@ package main
 // as NDJSON for the sampled request subset; -profile-p99 arms the
 // anomaly profiler, which captures a CPU+heap pprof pair into
 // /debug/profiles when the inter-poll p99 crosses the threshold.
+//
+// A connection that has not sent its request headers within 10s is
+// closed, as is a keep-alive connection idle for 2 minutes; responses
+// have no write deadline, since /debug/pprof/profile and /debug/diag
+// stream for as long as they are asked to.
 //
 // Shutdown is graceful: SIGINT/SIGTERM stops the listener, in-flight
 // requests get shutdownTimeout (default 5s) to drain via
@@ -143,10 +150,22 @@ type serveConfig struct {
 	stop <-chan struct{}
 	// shutdownTimeout bounds the in-flight request drain (default 5s).
 	shutdownTimeout time.Duration
+	// readHeaderTimeout bounds how long a connection may take to send
+	// its request headers (default readHeaderTimeout).
+	readHeaderTimeout time.Duration
 	// logw receives the startup trace and the final shutdown snapshot
 	// (default os.Stderr).
 	logw io.Writer
 }
+
+// Connection timeouts of the serve listener. A client that never
+// finishes its request headers is cut off after readHeaderTimeout; a
+// keep-alive connection idle for idleTimeout is closed, well above any
+// pause of a live client between requests.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // runServe binds the listener (503 warming handler), builds the
 // instrumented index, warms it, swaps in the real mux and serves until
@@ -176,9 +195,19 @@ func runServe(g *semsim.Graph, sem semsim.Measure, cfg serveConfig, ready chan<-
 	}
 	var handler atomic.Pointer[http.ServeMux]
 	handler.Store(warmingMux())
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		handler.Load().ServeHTTP(w, r)
-	})}
+	headerTimeout := cfg.readHeaderTimeout
+	if headerTimeout <= 0 {
+		headerTimeout = readHeaderTimeout
+	}
+	// No WriteTimeout: /debug/pprof/profile and /debug/diag legitimately
+	// stream for longer than any fixed bound.
+	srv := &http.Server{
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			handler.Load().ServeHTTP(w, r)
+		}),
+		ReadHeaderTimeout: headerTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(l) }()
 	fail := func(err error) error {

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -266,6 +267,59 @@ func TestServeGracefulShutdown(t *testing.T) {
 		if !strings.Contains(log, want) {
 			t.Errorf("shutdown log missing %q:\n%s", want, log)
 		}
+	}
+}
+
+// TestServeSlowHeaderDisconnected: a client that opens a connection and
+// never finishes sending its request headers is disconnected once the
+// read-header timeout passes, instead of holding the connection (and
+// its goroutine) forever.
+func TestServeSlowHeaderDisconnected(t *testing.T) {
+	g, lin := smokeGraph(t)
+	stop := make(chan struct{})
+	cfg := serveConfig{
+		debugAddr: "127.0.0.1:0",
+		opts: semsim.IndexOptions{
+			NumWalks: 20, WalkLength: 4, C: 0.6, Seed: 1,
+		},
+		healthInterval:    time.Hour,
+		stop:              stop,
+		readHeaderTimeout: 200 * time.Millisecond,
+		logw:              io.Discard,
+	}
+	ready := make(chan string, 1)
+	errc := make(chan error, 1)
+	go func() { errc <- runServe(g, lin, cfg, ready) }()
+	var addr string
+	select {
+	case addr = <-ready:
+	case err := <-errc:
+		t.Fatalf("serve exited before binding: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve did not come up within 30s")
+	}
+	defer func() {
+		close(stop)
+		<-errc
+	}()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A request line and one header, but never the blank line that ends
+	// the header block.
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	conn.SetReadDeadline(t0.Add(10 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("connection not closed by the server: %v", err)
+	}
+	if waited := time.Since(t0); waited > 5*time.Second {
+		t.Errorf("server held the half-sent request for %v", waited)
 	}
 }
 

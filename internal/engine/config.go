@@ -38,6 +38,8 @@ type Config struct {
 	Meet *walk.MeetIndex
 	// Cache is the optional SLING SO-cache handed to a factory-built
 	// estimator (ignored when Estimator is set — it already has one).
+	// The linear backend reads its normalization N(u,v) from the
+	// cache's published dense table when that covers Graph and Sem.
 	Cache *mc.SOCache
 	// Workers sizes factory-built estimators' scoring pools.
 	Workers int

@@ -21,7 +21,7 @@ const fuzzNumWalks = 400
 // dimensions, so every mutation exercises the solvers instead of the
 // argument validation.
 func fuzzAgreement(t *testing.T, seed int64, rawN, rawM uint8) {
-	n := 8 + int(rawN)%17   // 8..24 nodes
+	n := 8 + int(rawN)%17    // 8..24 nodes
 	m := n + int(rawM)%(2*n) // n..3n-1 extra edges
 	g := RandomGraph(seed, n, m)
 	sem := RandomMeasure(seed+1000, n, 0.1)

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -278,6 +279,43 @@ func (c *SOCache) EnableDense(budget int64, workers int) bool {
 
 // Dense reports whether the flat-table read path is active.
 func (c *SOCache) Dense() bool { return c.dense.Load() != nil }
+
+// SOTable is a read-only view of one published dense SO table, for bulk
+// readers that need every SO(u,v) of an epoch: the linear backend takes
+// its normalization N(u,v) from it. Reads through it touch no hit/miss
+// counter — they are set-up work, not query traffic.
+type SOTable struct{ d *soDense }
+
+// At returns SO(a,b), in either argument order.
+func (t SOTable) At(a, b hin.NodeID) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	return t.d.vals[t.d.rowOff[a]+int64(b)]
+}
+
+// Table returns the published dense table when the cache normalizes
+// exactly g under sem. ok is false on a nil cache, before EnableDense,
+// and for a cache built over another graph or measure, whose values
+// would be the wrong normalization.
+func (c *SOCache) Table(g *hin.Graph, sem semantic.Measure) (SOTable, bool) {
+	if c == nil || c.g != g || !sameMeasure(c.sem, sem) {
+		return SOTable{}, false
+	}
+	d := c.dense.Load()
+	if d == nil {
+		return SOTable{}, false
+	}
+	return SOTable{d}, true
+}
+
+// sameMeasure reports whether a and b are the same measure value. A
+// measure of uncomparable dynamic type (a semantic.Func holds a func)
+// never matches, instead of panicking in ==.
+func sameMeasure(a, b semantic.Measure) bool {
+	t := reflect.TypeOf(a)
+	return t != nil && t == reflect.TypeOf(b) && t.Comparable() && a == b
+}
 
 // Len reports how many pairs are stored (every pair, in dense mode).
 func (c *SOCache) Len() int {

@@ -58,32 +58,82 @@ func TestEmptyTraceString(t *testing.T) {
 
 // TestTraceStringDuringRecording: String/Spans may race with concurrent
 // span recording (the debug server renders in-flight build traces);
-// both must stay consistent under -race.
+// both must stay consistent under -race. The writers record a fixed
+// number of spans — past MaxTraceSpans, so renders also interleave with
+// the ring overwriting its oldest slots — and the trace ends at its cap
+// with every overwritten span counted.
 func TestTraceStringDuringRecording(t *testing.T) {
+	const writers, perWriter = 4, MaxTraceSpans
 	tr := NewTrace("live")
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					tr.Time("work", func() {})
-				}
+			for i := 0; i < perWriter; i++ {
+				tr.Time("work", func() {})
 			}
 		}()
 	}
-	for i := 0; i < 100; i++ {
-		if out := tr.String(); !strings.Contains(out, "trace live") {
-			t.Errorf("String() lost the header mid-recording: %q", out)
-			break
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for recording := true; recording; {
+		select {
+		case <-done:
+			recording = false
+		default:
 		}
-		_ = tr.Spans()
+		if out := tr.String(); !strings.Contains(out, "trace live") {
+			t.Fatalf("String() lost the header mid-recording: %q", out)
+		}
+		if n := len(tr.Spans()); n > MaxTraceSpans {
+			t.Fatalf("trace holds %d spans, above its cap %d", n, MaxTraceSpans)
+		}
 	}
-	close(stop)
-	wg.Wait()
+	total := int64(writers * perWriter)
+	if n := len(tr.Spans()); n != MaxTraceSpans {
+		t.Errorf("trace kept %d spans, want the cap %d", n, MaxTraceSpans)
+	}
+	if d := tr.Export().Dropped; d != total-MaxTraceSpans {
+		t.Errorf("Export().Dropped = %d, want %d", d, total-MaxTraceSpans)
+	}
+}
+
+// TestTraceSpanCap: past MaxTraceSpans the newest spans overwrite the
+// oldest, and String and Export both report how many were dropped.
+func TestTraceSpanCap(t *testing.T) {
+	tr := NewTrace("capped")
+	for i := 0; i < MaxTraceSpans; i++ {
+		tr.Time("early", func() {})
+	}
+	if tr.Export().Dropped != 0 || strings.Contains(tr.String(), "dropped") {
+		t.Fatalf("a trace at its cap reports drops: %d", tr.Export().Dropped)
+	}
+	const extra = 10
+	for i := 0; i < extra; i++ {
+		tr.Time("late", func() {})
+	}
+	spans := tr.Spans()
+	if len(spans) != MaxTraceSpans {
+		t.Fatalf("kept %d spans, want %d", len(spans), MaxTraceSpans)
+	}
+	late := 0
+	for i, s := range spans {
+		if s.Name == "late" {
+			late++
+		}
+		if i > 0 && s.Start < spans[i-1].Start {
+			t.Fatalf("spans out of start order at %d", i)
+		}
+	}
+	if late != extra {
+		t.Errorf("kept %d of the %d newest spans", late, extra)
+	}
+	if !strings.Contains(tr.String(), "(10 older spans dropped)") {
+		t.Errorf("String() does not report the drops:\n%s", tr.String())
+	}
+	if rec := tr.Export(); rec.Dropped != extra || len(rec.Spans) != MaxTraceSpans {
+		t.Errorf("Export() = %d spans, %d dropped; want %d, %d",
+			len(rec.Spans), rec.Dropped, MaxTraceSpans, extra)
+	}
 }

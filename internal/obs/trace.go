@@ -17,15 +17,25 @@ import (
 //
 // A Trace is cheap (one slice append per span, mutex-guarded so
 // concurrent phases may record into one trace) but is not meant for
-// per-walk-step granularity; spans are phase-level. A nil *Trace
-// ignores all calls, so APIs can take an optional trace without
-// branching at call sites.
+// per-walk-step granularity; spans are phase-level. It is also bounded:
+// past MaxTraceSpans the newest span overwrites the oldest, as in the
+// flight ring, and String and Export count the spans lost that way — a
+// long-lived trace (serve's startup trace also collects every commit's
+// backend spans) cannot grow without limit. A nil *Trace ignores all
+// calls, so APIs can take an optional trace without branching at call
+// sites.
 type Trace struct {
-	name string
-	t0   time.Time
-	mu   sync.Mutex
-	rec  []SpanRecord
+	name    string
+	t0      time.Time
+	mu      sync.Mutex
+	rec     []SpanRecord // a ring once full; next is then its oldest slot
+	next    int
+	dropped int64
 }
+
+// MaxTraceSpans is how many spans one Trace keeps: a build records
+// about ten, a request a handful.
+const MaxTraceSpans = 256
 
 // SpanRecord is one finished span: Start is the offset from the trace's
 // creation, Duration its measured length.
@@ -71,9 +81,16 @@ func (s Span) End() {
 	}
 	now := time.Now()
 	rec := SpanRecord{Name: s.n, Start: s.t0.Sub(s.tr.t0), Duration: now.Sub(s.t0)}
-	s.tr.mu.Lock()
-	s.tr.rec = append(s.tr.rec, rec)
-	s.tr.mu.Unlock()
+	t := s.tr
+	t.mu.Lock()
+	if len(t.rec) < MaxTraceSpans {
+		t.rec = append(t.rec, rec)
+	} else {
+		t.rec[t.next] = rec
+		t.next = (t.next + 1) % MaxTraceSpans
+		t.dropped++
+	}
+	t.mu.Unlock()
 }
 
 // Time runs fn inside a span — sugar for Start/End around a closure.
@@ -83,32 +100,43 @@ func (t *Trace) Time(name string, fn func()) {
 	sp.End()
 }
 
-// Spans returns the recorded spans ordered by start offset (a copy; nil
-// on a nil trace).
+// Spans returns the kept spans ordered by start offset (a copy; nil on
+// a nil trace).
 func (t *Trace) Spans() []SpanRecord {
+	spans, _ := t.snapshot()
+	return spans
+}
+
+// snapshot copies the kept spans, ordered by start offset, together
+// with the dropped count of the same instant.
+func (t *Trace) snapshot() ([]SpanRecord, int64) {
 	if t == nil {
-		return nil
+		return nil, 0
 	}
 	t.mu.Lock()
 	out := make([]SpanRecord, len(t.rec))
 	copy(out, t.rec)
+	dropped := t.dropped
 	t.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
+	return out, dropped
 }
 
-// Export freezes the trace into its wire form: name, elapsed total and
-// the recorded spans, ready for json.Marshal or a TraceLog. Wall-clock
-// and request identity are the caller's to stamp (serve knows the
-// request ID; the trace does not). Returns the zero record on nil.
+// Export freezes the trace into its wire form: name, elapsed total, the
+// kept spans and the count the span cap dropped, ready for json.Marshal
+// or a TraceLog. Wall-clock and request identity are the caller's to
+// stamp (serve knows the request ID; the trace does not). Returns the
+// zero record on nil.
 func (t *Trace) Export() TraceRecord {
 	if t == nil {
 		return TraceRecord{}
 	}
+	spans, dropped := t.snapshot()
 	return TraceRecord{
-		Name:  t.name,
-		Total: t.Total(),
-		Spans: t.Spans(),
+		Name:    t.name,
+		Total:   t.Total(),
+		Spans:   spans,
+		Dropped: dropped,
 	}
 }
 
@@ -127,11 +155,14 @@ func (t *Trace) Total() time.Duration {
 //	  walk-sample        8.1ms   65.9%
 //	  sling-cache-init   1.2ms    9.8%
 //	  ...
+//
+// A trace that hit MaxTraceSpans ends with a line counting the older
+// spans it dropped.
 func (t *Trace) String() string {
 	if t == nil {
 		return ""
 	}
-	spans := t.Spans()
+	spans, dropped := t.snapshot()
 	total := t.Total()
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace %s (total %s)\n", t.name, total.Round(time.Microsecond))
@@ -148,6 +179,9 @@ func (t *Trace) String() string {
 		}
 		fmt.Fprintf(&b, "  %-*s  %10s  %5.1f%%\n",
 			width, s.Name, s.Duration.Round(time.Microsecond), pct)
+	}
+	if dropped > 0 {
+		fmt.Fprintf(&b, "  (%d older spans dropped)\n", dropped)
 	}
 	return b.String()
 }

@@ -20,13 +20,15 @@ import (
 
 // TraceRecord is one exported trace: the JSON object written per line
 // of a trace log. Time and RequestID are stamped by the caller
-// (serve); Name, Total and Spans come from Trace.Export.
+// (serve); Name, Total, Spans and Dropped (the spans the MaxTraceSpans
+// bound overwrote) come from Trace.Export.
 type TraceRecord struct {
 	Time      time.Time     `json:"time"`
 	RequestID string        `json:"request_id,omitempty"`
 	Name      string        `json:"name"`
 	Total     time.Duration `json:"total_ns"`
 	Spans     []SpanRecord  `json:"spans"`
+	Dropped   int64         `json:"dropped_spans,omitempty"`
 }
 
 // TraceLog appends TraceRecords to a writer as NDJSON, one record per

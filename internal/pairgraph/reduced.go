@@ -223,8 +223,8 @@ func (r *Reduced) NumPairs() int { return len(r.pairs) }
 // fixpoint vector. Map overhead is approximated by its entry payload.
 func (r *Reduced) MemoryBytes() int64 {
 	var m int64
-	m += int64(len(r.pairs)) * 8   // pairs: two NodeIDs
-	m += int64(len(r.index)) * 12  // index: pair key + int32 value
+	m += int64(len(r.pairs)) * 8  // pairs: two NodeIDs
+	m += int64(len(r.index)) * 12 // index: pair key + int32 value
 	m += int64(len(r.off)) * 4
 	m += int64(len(r.to)) * 4
 	m += int64(len(r.w)) * 8

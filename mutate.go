@@ -233,9 +233,7 @@ func (m *Mutator) Commit() (CommitStats, error) {
 		if semChanged {
 			cache = mc.NewSOCache(newG, sem, opts.SLINGCutoff)
 			if opts.WarmCache {
-				if !cache.EnableDense(0, opts.Workers) {
-					cache.PrecomputeParallel(opts.Workers)
-				}
+				warmSOCache(cache, opts, true)
 			}
 		} else {
 			changedBool := make([]bool, n2)

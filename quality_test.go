@@ -2,8 +2,12 @@ package semsim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
+
+	"semsim/internal/engine"
+	"semsim/internal/obs"
 )
 
 // TestExplainQueryBitIdentity: the public explain path returns the same
@@ -154,6 +158,209 @@ func TestShadowBackendSelection(t *testing.T) {
 	defer idx2.Close()
 	if h := reg2.Snapshot().Histograms["semsim_build_shadow_backend_seconds"]; h.Count != 1 {
 		t.Errorf("mc index recorded %d shadow reference builds, want 1", h.Count)
+	}
+}
+
+// assertShadowRef checks that the index's current shadow reference
+// scores every pair bit-identically to a freshly built backend of the
+// named kind over the same graph and measure.
+func assertShadowRef(t *testing.T, idx *Index, name string, opts IndexOptions) {
+	t.Helper()
+	s := idx.snap.Load()
+	want, err := engine.New(name, engine.Config{
+		Graph: s.g, Sem: s.sem, C: opts.C, Theta: opts.Theta,
+		MaxLinearNodes: opts.MaxLinearNodes,
+	})
+	if err != nil {
+		t.Fatalf("engine.New(%s): %v", name, err)
+	}
+	n := s.g.NumNodes()
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			got, err := s.refScore(NodeID(u), NodeID(v))
+			if err != nil {
+				t.Fatalf("refScore(%d,%d): %v", u, v, err)
+			}
+			if w, _ := want.Query(NodeID(u), NodeID(v)); got != w {
+				t.Fatalf("shadow reference scores (%d,%d) = %v, a %s backend %v", u, v, got, name, w)
+			}
+		}
+	}
+}
+
+// TestShadowDefaultsToLinear: an mc index with ShadowRate builds exactly
+// one reference, the linear backend, and publishes its SO cache's dense
+// table for it, timed as the cache warm.
+func TestShadowDefaultsToLinear(t *testing.T) {
+	g, tax := buildSample(t)
+	reg := NewMetrics()
+	opts := IndexOptions{
+		NumWalks: 50, WalkLength: 8, C: 0.6, Theta: 0.05, SLINGCutoff: 0.1, Seed: 4,
+		Metrics: reg, ShadowRate: 1,
+	}
+	idx, err := BuildIndex(g, NewLin(tax), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	h := reg.Snapshot().Histograms
+	if c := h["semsim_build_shadow_backend_seconds"].Count; c != 1 {
+		t.Errorf("%d shadow reference builds, want 1", c)
+	}
+	if c := h["semsim_build_cache_warm_seconds"].Count; c != 1 {
+		t.Errorf("%d SO cache warms, want 1", c)
+	}
+	if !idx.snap.Load().cache.Dense() {
+		t.Error("SO cache stayed lazy under a linear shadow reference")
+	}
+	assertShadowRef(t, idx, "linear", opts)
+}
+
+// TestShadowAboveLinearCapPicksReduced: above the linear node cap the
+// default reference is the reduced backend, and the SO cache is left
+// lazy (no reference reads the dense table).
+func TestShadowAboveLinearCapPicksReduced(t *testing.T) {
+	g, tax := buildSample(t)
+	reg := NewMetrics()
+	opts := IndexOptions{
+		NumWalks: 50, WalkLength: 8, C: 0.6, Theta: 0.05, SLINGCutoff: 0.1, Seed: 4,
+		Metrics: reg, ShadowRate: 1, MaxLinearNodes: g.NumNodes() - 1,
+	}
+	idx, err := BuildIndex(g, NewLin(tax), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	h := reg.Snapshot().Histograms
+	if c := h["semsim_build_shadow_backend_seconds"].Count; c != 1 {
+		t.Errorf("%d shadow reference builds, want 1", c)
+	}
+	if c := h["semsim_build_cache_warm_seconds"].Count; c != 0 {
+		t.Errorf("%d SO cache warms, want none", c)
+	}
+	if idx.snap.Load().cache.Dense() {
+		t.Error("SO cache went dense for a reduced shadow reference")
+	}
+	assertShadowRef(t, idx, "reduced", opts)
+}
+
+// TestShadowOnOffBitIdentical: shadowing only observes. Query, TopK and
+// ExplainQuery answer bit-identically with and without it — at build,
+// after a commit without an IC update (the dense SO table migrates) and
+// after one with (the successor table is rebuilt). Only the SO cache's
+// provenance differs: the shadowed index reads the dense table, so its
+// probes are hits where the lazy cache misses.
+func TestShadowOnOffBitIdentical(t *testing.T) {
+	g, tax := buildSample(t)
+	opts := IndexOptions{
+		NumWalks: 60, WalkLength: 8, C: 0.6, Theta: 0.05, SLINGCutoff: 0.1, Seed: 9,
+		MeetIndex: true, AutoPlan: true,
+	}
+	off, err := BuildIndex(g, NewLin(tax), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer off.Close()
+	opts.ShadowRate = 1
+	on, err := BuildIndex(g, NewLin(tax), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer on.Close()
+
+	compare := func(stage string) {
+		t.Helper()
+		if !on.snap.Load().cache.Dense() || off.snap.Load().cache.Dense() {
+			t.Fatalf("%s: want a dense SO table only on the shadowed index", stage)
+		}
+		n := on.Graph().NumNodes()
+		for u := 0; u < n; u++ {
+			if a, b := on.TopK(NodeID(u), 5), off.TopK(NodeID(u), 5); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: TopK(%d) = %v with shadowing, %v without", stage, u, a, b)
+			}
+			for v := 0; v < n; v++ {
+				if a, b := on.Query(NodeID(u), NodeID(v)), off.Query(NodeID(u), NodeID(v)); a != b {
+					t.Fatalf("%s: Query(%d,%d) = %v with shadowing, %v without", stage, u, v, a, b)
+				}
+				a, errA := on.ExplainQuery(NodeID(u), NodeID(v))
+				b, errB := off.ExplainQuery(NodeID(u), NodeID(v))
+				if errA != nil || errB != nil {
+					t.Fatalf("%s: ExplainQuery(%d,%d): %v, %v", stage, u, v, errA, errB)
+				}
+				if a.Cost.SOHits+a.Cost.SOMisses != b.Cost.SOHits+b.Cost.SOMisses || a.Cost.SOMisses != 0 {
+					t.Fatalf("%s: ExplainQuery(%d,%d) SO probes %+v with shadowing, %+v without", stage, u, v, a.Cost, b.Cost)
+				}
+				for _, ex := range []*Explanation{a, b} {
+					ex.ElapsedSeconds, ex.SOCacheMode = 0, ""
+					ex.Cost.SOHits, ex.Cost.SOMisses = 0, 0
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s: ExplainQuery(%d,%d) = %+v with shadowing, %+v without", stage, u, v, a, b)
+				}
+			}
+		}
+	}
+	commit := func(edit func(m *Mutator)) {
+		t.Helper()
+		for _, ix := range []*Index{off, on} {
+			m := ix.NewMutator()
+			edit(m)
+			if _, err := m.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	node := func(name string) NodeID {
+		id, ok := g.NodeByName(name)
+		if !ok {
+			t.Fatalf("no node %q", name)
+		}
+		return id
+	}
+
+	compare("build")
+	commit(func(m *Mutator) { m.AddEdge(node("a"), node("f"), "co-author", 1) })
+	compare("edge commit")
+	commit(func(m *Mutator) {
+		m.UpdateConceptFreq(node("Databases"), 0.3)
+		m.RemoveEdge(node("b"), node("c"), "co-author")
+	})
+	compare("IC commit")
+}
+
+// TestCommitTraceStaysBounded: every commit records its backend spans
+// into the build trace (in serve, the startup trace), so a long-lived
+// index must leave that trace at its span cap rather than growing it.
+func TestCommitTraceStaysBounded(t *testing.T) {
+	g, tax := buildSample(t)
+	tr := NewTrace("build")
+	idx, err := BuildIndex(g, NewLin(tax), IndexOptions{
+		NumWalks: 20, WalkLength: 4, Theta: 0.05, SLINGCutoff: 0.1, Seed: 3,
+		Trace: tr, ShadowRate: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	a, _ := g.NodeByName("a")
+	f, _ := g.NodeByName("f")
+	for i := 0; i < obs.MaxTraceSpans; i++ {
+		m := idx.NewMutator()
+		if i%2 == 0 {
+			m.AddEdge(a, f, "co-author", 1)
+		} else {
+			m.RemoveEdge(a, f, "co-author")
+		}
+		if _, err := m.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(tr.Spans()); n != obs.MaxTraceSpans {
+		t.Errorf("build trace holds %d spans after %d commits, want its cap %d",
+			n, obs.MaxTraceSpans, obs.MaxTraceSpans)
+	}
+	if tr.Export().Dropped == 0 {
+		t.Error("build trace reports no dropped spans after overflowing its cap")
 	}
 }
 

@@ -152,18 +152,23 @@ type IndexOptions struct {
 	// semsim_shadow_abs_err / semsim_shadow_drift_total{severity=...} /
 	// semsim_shadow_worst_abs_err. Query results are untouched — the
 	// verifier observes scores after they are returned. The reference
-	// backend is built at BuildIndex time, so enabling shadowing on a
-	// large graph pays that backend's construction cost once. Call
-	// Index.Close to stop the worker. The conventional production rate
-	// is 256 (one query in 256).
+	// backend is built at BuildIndex time and rebuilt by every commit.
+	// A "linear" reference first publishes the SLING cache's dense SO
+	// table (when SLINGCutoff > 0 and the table fits its 64 MiB budget),
+	// timed as the cache warm: the solve reads its normalization from
+	// the table, and mc queries then read every SO probe from it too,
+	// with bit-identical values. Call Index.Close to stop the worker.
+	// The conventional production rate is 256 (one query in 256).
 	ShadowRate int
 	// ShadowBackend names the reference backend the verifier re-scores
-	// on ("exact", "reduced" or "linear"). It must be exact-capable —
+	// on ("linear", "exact" or "reduced"). It must be exact-capable —
 	// a sampling reference would report its own noise as drift — and
-	// BuildIndex rejects one that is not. Empty picks "exact" when the
-	// graph fits its node cap and "reduced" otherwise. If the index's
-	// own backend already has that name (and is exact), it is reused
-	// instead of building a second copy.
+	// BuildIndex rejects one that is not. Empty reuses the index's own
+	// backend when it is exact and prunes nothing ("exact", "linear"),
+	// and otherwise picks "linear" when the graph fits its node cap
+	// (MaxLinearNodes) and "reduced" above it. A named backend that is
+	// also the index's own (and exact) is reused instead of building a
+	// second copy.
 	ShadowBackend string
 	// ShadowQueue bounds the verifier's pending-sample queue (0 uses
 	// the default, 256). A full queue drops samples, counted in
@@ -330,18 +335,7 @@ func assemble(g *Graph, sem Measure, ix *walk.Index, opts IndexOptions, epoch ui
 		cache = mc.NewSOCache(g, sem, opts.SLINGCutoff)
 		sp.End()
 		if opts.WarmCache {
-			warmLat := opts.Metrics.Histogram("semsim_build_cache_warm_seconds",
-				"wall time of the eager SLING cache precomputation", nil)
-			sp = opts.Trace.Start("sling-cache-warm")
-			tw := warmLat.Start()
-			// Prefer the dense triangular SO table (one array read per
-			// probe); past its budget, fall back to the parallel striped
-			// warm. Both store bit-identical values.
-			if !cache.EnableDense(0, opts.Workers) {
-				cache.PrecomputeParallel(opts.Workers)
-			}
-			warmLat.ObserveSince(tw)
-			sp.End()
+			warmSOCache(cache, opts, true)
 		}
 	}
 	est, err := mc.New(ix, sem, mc.Options{
@@ -409,20 +403,43 @@ func (snap *snapshot) finish(opts IndexOptions) error {
 	return nil
 }
 
+// warmSOCache is the eager SLING warm, timed into
+// semsim_build_cache_warm_seconds and the sling-cache-warm span: it
+// publishes the dense triangular SO table (one array read per probe)
+// when the table fits its budget, else, with striped set, runs the
+// parallel striped warm. Both store bit-identical values.
+func warmSOCache(cache *mc.SOCache, opts IndexOptions, striped bool) {
+	warmLat := opts.Metrics.Histogram("semsim_build_cache_warm_seconds",
+		"wall time of the eager SLING cache precomputation", nil)
+	sp := opts.Trace.Start("sling-cache-warm")
+	tw := warmLat.Start()
+	if !cache.EnableDense(0, opts.Workers) && striped {
+		cache.PrecomputeParallel(opts.Workers)
+	}
+	warmLat.ObserveSince(tw)
+	sp.End()
+}
+
 // buildShadowRef builds (or reuses) the exact-capable reference backend
 // this epoch's shadow samples are verified against. snap.sem is the
 // post-kernel measure, so the reference scores against bit-identical
 // semantics.
+//
+// A linear reference first has the epoch's SO cache publish its dense
+// table, once per epoch (a commit migrates it): the solve reads its
+// normalization N(u,v) from the table, and mc queries then read every
+// SO(u,v) from it too, instead of missing on the pairs the lazy cache
+// has not seen.
 func (snap *snapshot) buildShadowRef(opts IndexOptions) error {
+	ref := snap.eng
 	name := opts.ShadowBackend
 	if name == "" {
-		name = "exact"
-		if snap.g.NumNodes() > engine.DefaultMaxExactNodes {
-			name = "reduced"
-		}
+		name = defaultShadowBackend(ref, snap.g.NumNodes(), opts.MaxLinearNodes)
 	}
-	ref := snap.eng
 	if ref.Name() != name || !ref.Caps().Exact {
+		if name == "linear" && snap.cache != nil && !snap.cache.Dense() {
+			warmSOCache(snap.cache, opts, false)
+		}
 		shadowLat := opts.Metrics.Histogram("semsim_build_shadow_backend_seconds",
 			"wall time of the shadow reference-backend construction", nil)
 		sp := opts.Trace.Start("shadow-backend")
@@ -446,6 +463,23 @@ func (snap *snapshot) buildShadowRef(opts IndexOptions) error {
 	}
 	snap.refScore = ref.Query
 	return nil
+}
+
+// defaultShadowBackend picks the shadow reference when
+// IndexOptions.ShadowBackend is empty: the serving backend itself when
+// it is exact and prunes nothing, else "linear" up to its node cap
+// (maxLinear, 0 for the engine default) and "reduced" above it.
+func defaultShadowBackend(eng engine.Backend, n, maxLinear int) string {
+	if caps := eng.Caps(); caps.Exact && !caps.Prunes {
+		return eng.Name()
+	}
+	if maxLinear == 0 {
+		maxLinear = engine.DefaultMaxLinearNodes
+	}
+	if n > maxLinear {
+		return "reduced"
+	}
+	return "linear"
 }
 
 // wrapKernel decides whether assemble wraps the measure in a
