@@ -18,6 +18,7 @@ import (
 
 	"semsim"
 	"semsim/internal/datagen"
+	"semsim/internal/engine"
 	"semsim/internal/experiments"
 	"semsim/internal/hin"
 	"semsim/internal/mc"
@@ -169,6 +170,14 @@ type benchEnv struct {
 	prnM *mc.Estimator // SemSim + pruning + SLING + live metrics registry
 	krn  *mc.Estimator // SemSim + pruning + semantic kernel + dense-warmed SLING
 	kern *semantic.Kernel
+	meet *walk.MeetIndex
+	// srv and srvM are the stack `semsim serve` answers top-k from by
+	// default — krn's walks, semantic kernel and dense SO table, plus
+	// the meet index and the planner — with metrics off and on. Every
+	// top-k strategy benchmark runs on srv, so their ratios are the
+	// planner's inputs.
+	srv  engine.Backend
+	srvM engine.Backend
 	sr   *simrank.MC   // SimRank
 	idx  *semsim.Index // public facade index
 	idxM *semsim.Index // public facade index with metrics enabled
@@ -228,6 +237,24 @@ func env(b *testing.B) *benchEnv {
 	if err != nil {
 		b.Fatal(err)
 	}
+	meet := walk.BuildMeetIndex(ix)
+	st := engine.CollectStats(d.Graph, ix, meet)
+	st.DenseSemKernel = kern.DenseMode()
+	srv, err := engine.New("mc", engine.Config{Graph: d.Graph, Sem: kern, Estimator: krn, Walks: ix,
+		Meet: meet, Planner: engine.NewPlanner(st, nil)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	regM := obs.NewRegistry()
+	krnM, err := mc.New(ix, kern, mc.Options{C: 0.6, Theta: 0.05, Cache: kcache, Metrics: regM})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srvM, err := engine.New("mc", engine.Config{Graph: d.Graph, Sem: kern, Estimator: krnM, Walks: ix,
+		Meet: meet, Planner: engine.NewPlanner(st, regM)})
+	if err != nil {
+		b.Fatal(err)
+	}
 	// WarmCache keeps the facade benchmarks in steady state: a lazily
 	// filled SLING cache charges map-growth allocations to whichever rep
 	// first visits a source node, skewing the first -count repetition.
@@ -246,7 +273,7 @@ func env(b *testing.B) *benchEnv {
 		b.Fatal(err)
 	}
 	envCache = &benchEnv{d: d, ix: ix, est: est, prn: prn, prnM: prnM, krn: krn, kern: kern,
-		sr: sr, idx: idx, idxM: idxM}
+		meet: meet, srv: srv, srvM: srvM, sr: sr, idx: idx, idxM: idxM}
 	return envCache
 }
 
@@ -480,31 +507,38 @@ func BenchmarkLCAQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkTopK10 measures the public-facade top-10 similarity search.
-// The index is built with WarmCache (steady state from the first rep);
-// one warm search still runs before the timer to settle any remaining
-// lazy initialization.
-func BenchmarkTopK10(b *testing.B) {
+// benchTopK10 times top-10 searches from the pairAt sources, after one
+// warm search.
+func benchTopK10(b *testing.B, topk func(e *benchEnv, u hin.NodeID) ([]semsim.Scored, error)) {
 	e := env(b)
-	e.idx.TopK(0, 10)
+	if _, err := topk(e, 0); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, _ := pairAt(e, i)
-		e.idx.TopK(u, 10)
+		if _, err := topk(e, u); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkTopK10Metrics is the instrumented twin of BenchmarkTopK10:
-// top-k scan loops use the uninstrumented internal query path, so only
-// the per-search aggregates are recorded.
-func BenchmarkTopK10Metrics(b *testing.B) {
-	e := env(b)
-	e.idxM.TopK(0, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u, _ := pairAt(e, i)
-		e.idxM.TopK(u, 10)
+// forcedTopK10 runs top-10 on the serve stack forced onto strategy s.
+func forcedTopK10(s engine.Strategy) func(e *benchEnv, u hin.NodeID) ([]semsim.Scored, error) {
+	return func(e *benchEnv, u hin.NodeID) ([]semsim.Scored, error) {
+		return e.srv.(engine.StrategyRunner).TopKWithStrategy(u, 10, s)
 	}
+}
+
+// BenchmarkTopK10 measures the brute-force top-10 scan on the serve
+// stack: every candidate probed, fanned across the scoring pool.
+func BenchmarkTopK10(b *testing.B) { benchTopK10(b, forcedTopK10(engine.StrategyBrute)) }
+
+// BenchmarkTopK10Metrics is the instrumented twin of
+// BenchmarkTopK10AutoPlan: the planner-routed top-10 with the
+// estimator's per-search instruments and the plan counters live.
+func BenchmarkTopK10Metrics(b *testing.B) {
+	benchTopK10(b, func(e *benchEnv, u hin.NodeID) ([]semsim.Scored, error) { return e.srvM.TopK(u, 10) })
 }
 
 // --- Capacity benchmarks (v3 walk format, lazy residency) ------------
@@ -776,41 +810,28 @@ func BenchmarkAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkTopK10MeetIndex measures collision-driven top-10 search (the
-// single-source path) for comparison with BenchmarkTopK10.
+// BenchmarkTopK10MeetIndex measures collision-driven top-10 (the
+// single-source enumeration over u's meet-index cells) on the serve
+// stack.
 func BenchmarkTopK10MeetIndex(b *testing.B) {
-	e := env(b)
-	meet := walk.BuildMeetIndex(e.ix)
-	e.prn.TopKWithIndex(0, 10, meet)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u, _ := pairAt(e, i)
-		e.prn.TopKWithIndex(u, 10, meet)
-	}
+	benchTopK10(b, forcedTopK10(engine.StrategyCollision))
 }
 
-// BenchmarkTopK10SemBounded measures the Prop 2.5 early-terminated top-10
-// search.
+// BenchmarkTopK10SemBounded measures the Prop 2.5 early-terminated
+// top-10 search on the serve stack.
 func BenchmarkTopK10SemBounded(b *testing.B) {
-	e := env(b)
-	e.prn.TopKSemBounded(0, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u, _ := pairAt(e, i)
-		e.prn.TopKSemBounded(u, 10)
-	}
+	benchTopK10(b, forcedTopK10(engine.StrategySemBounded))
 }
 
 // BenchmarkSingleSource measures full single-source enumeration via the
 // inverted meeting index.
 func BenchmarkSingleSource(b *testing.B) {
 	e := env(b)
-	meet := walk.BuildMeetIndex(e.ix)
-	e.prn.SingleSource(0, meet)
+	e.prn.SingleSource(0, e.meet)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, _ := pairAt(e, i)
-		e.prn.SingleSource(u, meet)
+		e.prn.SingleSource(u, e.meet)
 	}
 }
 
@@ -923,39 +944,12 @@ func BenchmarkBatchQuerySharedCache(b *testing.B) {
 	}
 }
 
-// planIndexCache is built lazily on top of the shared dataset: meet
-// index plus the adaptive planner, for comparing planner-routed top-k
-// against the caller-chosen variants above.
-var planIndexCache *semsim.Index
-
-func planIndex(b *testing.B) (*semsim.Index, int) {
-	b.Helper()
-	e := env(b)
-	if planIndexCache == nil {
-		idx, err := semsim.BuildIndex(e.d.Graph, e.d.Lin, semsim.IndexOptions{
-			NumWalks: 150, WalkLength: 15, Theta: 0.05, SLINGCutoff: 0.1, Seed: 2, Parallel: true,
-			MeetIndex: true, AutoPlan: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		planIndexCache = idx
-	}
-	return planIndexCache, e.d.Graph.NumNodes()
-}
-
-// BenchmarkTopK10AutoPlan measures top-10 search with the adaptive
-// planner choosing the strategy per query; compare against
-// BenchmarkTopK10 (brute), BenchmarkTopK10MeetIndex (collision) and
-// BenchmarkTopK10SemBounded (sem-bounded) to see the routing overhead
-// (it should be within noise of whichever strategy the planner picks).
+// BenchmarkTopK10AutoPlan measures top-10 search with the planner
+// choosing the strategy on the serve stack; it should be within noise
+// of whichever of BenchmarkTopK10 (brute), BenchmarkTopK10MeetIndex
+// (collision) and BenchmarkTopK10SemBounded it picks.
 func BenchmarkTopK10AutoPlan(b *testing.B) {
-	idx, n := planIndex(b)
-	idx.TopK(0, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.TopK(hin.NodeID(i*7%n), 10)
-	}
+	benchTopK10(b, func(e *benchEnv, u hin.NodeID) ([]semsim.Scored, error) { return e.srv.TopK(u, 10) })
 }
 
 // BenchmarkIndexRefresh measures incremental walk maintenance after a

@@ -23,7 +23,10 @@
 #      the stress tests drive 8+ goroutines through one shared cached
 #      Index and assert bit-identical results vs serial runs; includes
 #      the internal/obs concurrent-instrument tests and the
-#      cross-backend conformance harness of internal/engine)
+#      cross-backend conformance harness of internal/engine), plus the
+#      whole suite at -cpu 1,2,4 (the meet-index build and the scoring
+#      pools split their work by GOMAXPROCS, so byte-identity and
+#      strategy identity must hold at every CPU count)
 #   3. fuzz seed corpora as unit tests      (IO robustness regression,
 #      plus the backend-agreement differential fuzzer's seeds)
 #   4. bench drift guard                    (perf regression — reruns
@@ -182,6 +185,9 @@ echo "    streaming build + convert round-trip + lazy serve green"
 
 echo "==> tier 2: race detector"
 go test -race ./...
+
+echo "==> tier 2: whole suite at every CPU count (meet-index build and scoring pools split by GOMAXPROCS)"
+go test -count=1 -cpu 1,2,4 ./...
 
 echo "==> tier 2: obs instruments under race"
 go test -race ./internal/obs/

@@ -294,6 +294,11 @@ func runServe(g *semsim.Graph, sem semsim.Measure, cfg serveConfig, ready chan<-
 		idx.TopK(0, 5)
 	}
 	fmt.Fprint(logw, tr.String())
+	// Collect the build's scratch before serving. A cycle that ran
+	// mid-build, while the solve's scratch was live, would otherwise
+	// set the heap goal, and with it the serving peak RSS, at twice
+	// that transient live set.
+	runtime.GC()
 
 	reg.PublishExpvar("semsim")
 	so := newServeObs(reg, qlog, tlog, sampler, tracker, watcher)
@@ -807,15 +812,17 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 			"cost":    &ri.cost,
 		})
 		sp.End()
-		qlog.Log(quality.QueryEvent{
-			RequestID: ri.id,
-			Endpoint:  "/query", U: g.NodeName(u), V: g.NodeName(v),
-			Status: http.StatusOK, Score: score,
-			LatencySeconds: time.Since(t0).Seconds(),
-			Backend:        idx.Backend(),
-			CacheHitRatio:  idx.CacheSummary().HitRatio,
-			Cost:           &ri.cost,
-		})
+		if qlog != nil {
+			qlog.Log(quality.QueryEvent{
+				RequestID: ri.id,
+				Endpoint:  "/query", U: g.NodeName(u), V: g.NodeName(v),
+				Status: http.StatusOK, Score: score,
+				LatencySeconds: time.Since(t0).Seconds(),
+				Backend:        idx.Backend(),
+				CacheHitRatio:  idx.CacheSummary().HitRatio,
+				Cost:           &ri.cost,
+			})
+		}
 	}))
 
 	mux.HandleFunc("/explain", so.wrap("/explain", func(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
@@ -843,16 +850,18 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 		sp = ri.trace.Start("encode")
 		writeJSON(w, ex)
 		sp.End()
-		qlog.Log(quality.QueryEvent{
-			RequestID: ri.id,
-			Endpoint:  "/explain", U: ex.UName, V: ex.VName,
-			Status: http.StatusOK, Score: ex.Score,
-			LatencySeconds: time.Since(t0).Seconds(),
-			Backend:        ex.Backend,
-			CIWidth:        ex.CIWidth(),
-			CacheHitRatio:  idx.CacheSummary().HitRatio,
-			Cost:           &ri.cost,
-		})
+		if qlog != nil {
+			qlog.Log(quality.QueryEvent{
+				RequestID: ri.id,
+				Endpoint:  "/explain", U: ex.UName, V: ex.VName,
+				Status: http.StatusOK, Score: ex.Score,
+				LatencySeconds: time.Since(t0).Seconds(),
+				Backend:        ex.Backend,
+				CIWidth:        ex.CIWidth(),
+				CacheHitRatio:  idx.CacheSummary().HitRatio,
+				Cost:           &ri.cost,
+			})
+		}
 	}))
 
 	mux.HandleFunc("/topk", so.wrap("/topk", func(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
@@ -888,16 +897,18 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 		sp = ri.trace.Start("encode")
 		writeJSON(w, map[string]any{"u": g.NodeName(u), "k": k, "results": hits, "cost": &ri.cost})
 		sp.End()
-		qlog.Log(quality.QueryEvent{
-			RequestID: ri.id,
-			Endpoint:  "/topk", U: g.NodeName(u), K: k,
-			Status: http.StatusOK, Results: len(hits),
-			LatencySeconds: time.Since(t0).Seconds(),
-			Backend:        idx.Backend(),
-			Strategy:       ri.strategy,
-			CacheHitRatio:  idx.CacheSummary().HitRatio,
-			Cost:           &ri.cost,
-		})
+		if qlog != nil {
+			qlog.Log(quality.QueryEvent{
+				RequestID: ri.id,
+				Endpoint:  "/topk", U: g.NodeName(u), K: k,
+				Status: http.StatusOK, Results: len(hits),
+				LatencySeconds: time.Since(t0).Seconds(),
+				Backend:        idx.Backend(),
+				Strategy:       ri.strategy,
+				CacheHitRatio:  idx.CacheSummary().HitRatio,
+				Cost:           &ri.cost,
+			})
+		}
 	}))
 
 	// Mutation batches serialize on mutateMu: every request then commits

@@ -230,15 +230,24 @@ func TestPlannerDecisions(t *testing.T) {
 		{"small no meet", Stats{Nodes: 20, NumWalks: 100, WalkLength: 10}, StrategyBrute},
 		// Large graph, no meet index: sem-bounded early termination.
 		{"large no meet", Stats{Nodes: 5000, NumWalks: 100, WalkLength: 10}, StrategySemBounded},
-		// Sparse meetings: expected collision events far below the brute
-		// scan cost (load = 10000/(5000*11) ~ 0.18 -> events ~ 182 vs
-		// brute 500000).
+		// Short-lived walks: 2 cells per query plus as many
+		// co-locations, far below 500,000 walk scans.
 		{"sparse meet", Stats{Nodes: 5000, NumWalks: 100, WalkLength: 10,
 			HasMeet: true, MeetEntries: 10_000}, StrategyCollision},
-		// Dense meetings on a small graph: collision would touch more
-		// events than brute probes, fall through to brute.
+		// Walks that never stop on a tiny graph: u's 1,100 cells plus
+		// as many co-locations, doubled, exceed 20 * 100 walk scans;
+		// fall through to brute.
 		{"dense meet small", Stats{Nodes: 20, NumWalks: 100, WalkLength: 10,
 			HasMeet: true, MeetEntries: 20 * 100 * 11}, StrategyBrute},
+		// The same walks on a graph just past the dense-kernel floor:
+		// still too small for collision, so sem-bounded.
+		{"dense meet small dense kernel", Stats{Nodes: 40, NumWalks: 100, WalkLength: 15,
+			HasMeet: true, MeetEntries: 40 * 100 * 16, DenseSemKernel: true}, StrategySemBounded},
+		// The serving benchmark's shape (1,110 nodes, n_w 150, t 15,
+		// every walk live): 2,400 cells and about as many co-locations,
+		// doubled, against 166,500 walk scans.
+		{"served graph", Stats{Nodes: 1110, NumWalks: 150, WalkLength: 15,
+			HasMeet: true, MeetEntries: 1110 * 150 * 16, DenseSemKernel: true}, StrategyCollision},
 		// A solved linearization beats everything while the graph is
 		// within the solve's node budget — even when collision would
 		// otherwise win.

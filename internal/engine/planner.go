@@ -25,8 +25,9 @@ const (
 	// graph well; inherently sequential.
 	StrategySemBounded
 	// StrategyCollision scores only candidates whose walks actually
-	// meet u's, enumerated from the inverted meet index. Wins when
-	// meetings are sparse (large graphs, short walks).
+	// meet u's, enumerated from u's own cells of the walk-keyed meet
+	// index. Its cost does not grow with n, so it wins on all but tiny
+	// graphs.
 	StrategyCollision
 	// StrategyLinear reads the linear backend's converged linearized
 	// solve: every query shape is a row scan over the solved matrix.
@@ -68,10 +69,9 @@ type Stats struct {
 	WalkLength int
 	// HasMeet reports whether the inverted meet index was built.
 	HasMeet bool
-	// MeetEntries is the total number of inverted-index slots — the
-	// sum over all walks of their non-terminated positions. The average
-	// cell load MeetEntries/(n*(t+1)) estimates how many foreign walks
-	// co-locate with each step of a query's walk.
+	// MeetEntries is the total number of inverted-index entries — the
+	// sum over all walks of their non-terminated positions. MeetEntries/n
+	// is the number of cells a collision enumeration reads per query.
 	MeetEntries int64
 	// DenseSemKernel reports that semantic evaluations go through a
 	// dense precomputed kernel (one array read each), which moves the
@@ -196,11 +196,10 @@ func (st Stats) linearCap() int {
 //
 //   - brute probes all n candidates, each a Meet scan over n_w coupled
 //     walks: ~n * n_w walk comparisons;
-//   - collision touches only co-location events: a query's walks occupy
-//     ~n_w * t cells of the inverted index, and the average cell holds
-//     MeetEntries / (n * (t+1)) foreign slots, so the expected event
-//     count is n_w * t * load — independent of n on uniform graphs,
-//     which is exactly why it wins at scale;
+//   - collision reads only u's own cells of the walk-keyed meet index,
+//     one per live walk position — MeetEntries/n on average — and
+//     visits about as many coupled co-locations in them, independent
+//     of n, which is exactly why it wins at scale;
 //   - sem-bounded replaces the walk scans with n cheap semantic
 //     evaluations plus a sort, profitable once n clears the sort
 //     overhead floor.
@@ -210,14 +209,13 @@ func (p *Planner) pick() Strategy {
 		return StrategyLinear
 	}
 	if st.HasMeet && st.Nodes > 0 {
-		cells := float64(st.Nodes) * float64(st.WalkLength+1)
-		load := float64(st.MeetEntries) / cells
-		events := float64(st.NumWalks) * float64(st.WalkLength) * load
+		cells := float64(st.MeetEntries) / float64(st.Nodes)
+		collision := cells + cells // cell reads plus co-locations
 		brute := float64(st.Nodes) * float64(st.NumWalks)
 		// The 2x margin hedges the uniform-load assumption: hub nodes
-		// concentrate walk visits, so real event counts run above the
-		// average-load estimate.
-		if events*2 < brute {
+		// concentrate walk visits, so real co-location counts run above
+		// one per cell.
+		if collision*2 < brute {
 			return StrategyCollision
 		}
 	}

@@ -16,7 +16,7 @@ import (
 // loop over Query.
 //
 // workers <= 0 uses opts.Workers (which itself defaults to
-// runtime.NumCPU).
+// runtime.GOMAXPROCS).
 func BatchQuery(ix *walk.Index, sem semantic.Measure, opts Options, pairs [][2]hin.NodeID, workers int) ([]float64, error) {
 	est, err := New(ix, sem, opts)
 	if err != nil {

@@ -52,7 +52,7 @@ type Options struct {
 	// The cache is sharded and safe to share across estimators.
 	Cache *SOCache
 	// Workers sizes the scoring pool used by TopK, SingleSource and
-	// QueryBatch. 0 uses runtime.NumCPU(); 1 forces serial scoring.
+	// QueryBatch. 0 uses runtime.GOMAXPROCS(0); 1 forces serial scoring.
 	Workers int
 	// Metrics, when non-nil, receives the estimator's counters,
 	// latency histograms and pruning statistics (see internal/obs).
@@ -89,7 +89,7 @@ func New(ix *walk.Index, sem semantic.Measure, opts Options) (*Estimator, error)
 	}
 	workers := opts.Workers
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	registerCacheMetrics(opts.Metrics, opts.Cache)
 	return &Estimator{

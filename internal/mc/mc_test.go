@@ -3,10 +3,12 @@ package mc
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"semsim/internal/core"
 	"semsim/internal/hin"
+	"semsim/internal/obs"
 	"semsim/internal/semantic"
 	"semsim/internal/simrank"
 	"semsim/internal/walk"
@@ -406,6 +408,36 @@ func TestTopKWithIndexMatchesTopK(t *testing.T) {
 			if brute[i] != fast[i] {
 				t.Fatalf("u=%d rank %d: %v vs %v", u, i, brute[i], fast[i])
 			}
+		}
+	}
+}
+
+// TestTopKWithIndexCostMeetCells: a collision top-k charges one meet
+// cell per live position of u's walks, the cells its enumeration reads,
+// and answers exactly like the uncosted call.
+func TestTopKWithIndexCostMeetCells(t *testing.T) {
+	g := randomGraph(33, 14, 60, true)
+	ix, err := walk.Build(g, walk.Options{NumWalks: 60, Length: 8, Seed: 9})
+	if err != nil {
+		t.Fatalf("walk.Build: %v", err)
+	}
+	meet := walk.BuildMeetIndex(ix)
+	est, err := New(ix, randomMeasure(34, 14), Options{C: 0.6})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for u := 0; u < g.NumNodes(); u++ {
+		var want int64
+		for i := 0; i < ix.NumWalks(); i++ {
+			want += int64(ix.WalkLen(hin.NodeID(u), i))
+		}
+		var co obs.Cost
+		got := est.TopKWithIndexCost(hin.NodeID(u), 5, meet, &co)
+		if co.MeetCells != want {
+			t.Fatalf("u=%d: MeetCells = %d, want %d", u, co.MeetCells, want)
+		}
+		if !slices.Equal(got, est.TopKWithIndex(hin.NodeID(u), 5, meet)) {
+			t.Fatalf("u=%d: costed top-k differs from TopKWithIndex", u)
 		}
 	}
 }

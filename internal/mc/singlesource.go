@@ -42,7 +42,7 @@ func (e *Estimator) SingleSource(u hin.NodeID, meet *walk.MeetIndex) []rank.Scor
 }
 
 // SingleSourceCost is SingleSource charging the sweep's work to co (nil
-// co is exactly SingleSource): the meet-index cells scanned, plus each
+// co is exactly SingleSource): the meet-index cells read, plus each
 // group's walk scoring through the same per-step accounting as
 // QueryCost. Parallel workers accumulate into pooled worker-local Costs
 // merged after the join.
@@ -50,11 +50,16 @@ func (e *Estimator) SingleSourceCost(u hin.NodeID, meet *walk.MeetIndex, co *obs
 	t0 := e.m.singleLat.Start()
 	sc := ssScratchPool.Get().(*ssScratch)
 	defer ssScratchPool.Put(sc)
+	vu := e.ix.ViewCost(u, co)
+	if co != nil {
+		// The enumeration reads one meet-index cell per live position
+		// of u's walks.
+		for i := 0; i < e.ix.NumWalks(); i++ {
+			co.MeetCells += int64(vu.Len(i))
+		}
+	}
 	sc.cols = meet.CollisionsAppend(sc.cols[:0], u)
 	cols := sc.cols
-	if co != nil {
-		co.MeetCells += int64(len(cols))
-	}
 	if len(cols) == 0 {
 		e.finishSingleSource(t0, 0)
 		return nil
@@ -72,7 +77,6 @@ func (e *Estimator) SingleSourceCost(u hin.NodeID, meet *walk.MeetIndex, co *obs
 	sc.groups = groups
 
 	nw := float64(e.ix.NumWalks())
-	vu := e.ix.ViewCost(u, co)
 	scoreGroup := func(g ssGroup, gco *obs.Cost) float64 {
 		if gco != nil {
 			gco.Pairs++

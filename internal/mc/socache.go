@@ -63,7 +63,7 @@ type soDense struct {
 }
 
 // soCacheShards is the number of lock stripes. 64 comfortably exceeds
-// the worker counts the query paths spawn (runtime.NumCPU-sized pools),
+// the worker counts the query paths spawn (GOMAXPROCS-sized pools),
 // keeping the probability of two workers colliding on a stripe low.
 const soCacheShards = 64
 

@@ -20,8 +20,8 @@ type Cost struct {
 	// WalkSteps counts coupled-walk step evaluations (the P/Q product
 	// loop of Algorithm 1) — the dominant term on un-pruned queries.
 	WalkSteps int64 `json:"walk_steps"`
-	// MeetCells counts meet-index collision cells scanned during
-	// single-source sweeps.
+	// MeetCells counts meet-index cells read during single-source
+	// sweeps: one per live position of the source's walks.
 	MeetCells int64 `json:"meet_cells"`
 	// SOHits / SOMisses count SLING SO-cache probes by outcome. A miss
 	// is an O(d^2) pairgraph recomputation.

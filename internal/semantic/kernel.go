@@ -81,8 +81,11 @@ type KernelOptions struct {
 	Workers int
 	// Metrics, when non-nil, receives the kernel's instruments:
 	// semsim_kernel_mode, semsim_kernel_classes, semsim_kernel_bytes
-	// gauges, the semsim_kernel_fill_seconds histogram and the
-	// semsim_kernel_hits_total / semsim_kernel_misses_total counters.
+	// gauges, the semsim_kernel_fill_seconds histogram and the memo
+	// mode's semsim_kernel_hits_total / semsim_kernel_misses_total
+	// counters. A dense lookup counts nothing: one shared counter
+	// bumped per probe would serialize every scoring worker on it, and
+	// per-request probe counts are already in obs.Cost.KernelProbes.
 	// Nil disables at zero hot-path cost (nil instruments are no-ops).
 	Metrics *obs.Registry
 }
@@ -121,7 +124,7 @@ func NewKernel(base Measure, n int, opts KernelOptions) (*Kernel, error) {
 	k := &Kernel{base: base, n: n}
 	k.class, k.nClasses = conceptClasses(base, n)
 	k.hits = opts.Metrics.Counter("semsim_kernel_hits_total",
-		"semantic-kernel lookups answered from the precomputed table (dense cell or memo hit)")
+		"semantic-kernel memo hits (value served from the memo cache); dense lookups are not counted")
 	k.misses = opts.Metrics.Counter("semsim_kernel_misses_total",
 		"semantic-kernel memo misses (value computed from the base measure and stored)")
 
@@ -310,7 +313,6 @@ func (k *Kernel) Sim(u, v hin.NodeID) float64 {
 		a, b = b, a
 	}
 	if k.dense != nil {
-		k.hits.Inc()
 		return k.dense[k.rowOff[a]+int64(b)]
 	}
 	return k.memoSim(a, b, u, v)

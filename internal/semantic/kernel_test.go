@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"semsim/internal/hin"
+	"semsim/internal/obs"
 	"semsim/internal/taxonomy"
 )
 
@@ -69,6 +70,37 @@ func TestKernelBitIdenticalRandomTaxonomies(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestKernelHitCounters: dense lookups count nothing, so the hot path
+// bumps no shared counter; the memo mode counts every hit and miss.
+func TestKernelHitCounters(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const n = 30
+	base := Lin{Tax: randomTaxonomy(t, rng, n)}
+	probe := func(budget int64) (hits, misses int64) {
+		reg := obs.NewRegistry()
+		k, err := NewKernel(base, n, KernelOptions{MemoryBudget: budget, Metrics: reg})
+		if err != nil {
+			t.Fatalf("NewKernel: %v", err)
+		}
+		for rep := 0; rep < 2; rep++ {
+			for u := 0; u < n; u++ {
+				k.Sim(hin.NodeID(u), hin.NodeID((u*7+1)%n))
+			}
+		}
+		snap := reg.Snapshot()
+		return snap.Counters["semsim_kernel_hits_total"], snap.Counters["semsim_kernel_misses_total"]
+	}
+	if hits, misses := probe(0); hits != 0 || misses != 0 {
+		t.Errorf("dense kernel counted %d hits, %d misses; want 0, 0", hits, misses)
+	}
+	// u*7+1 never equals u mod 30, so all 2n probes are off-diagonal
+	// and reach the memo; the second round repeats the first.
+	hits, misses := probe(1)
+	if misses == 0 || hits < misses || hits+misses != 2*n {
+		t.Errorf("memo kernel counted %d hits, %d misses over %d probes", hits, misses, 2*n)
 	}
 }
 

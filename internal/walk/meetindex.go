@@ -2,152 +2,152 @@ package walk
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"semsim/internal/hin"
 )
 
-// MeetIndex inverts a walk index by (step, node): for every position it
-// lists the (source, walk) slots whose walk visits that node at that
-// step. It turns the all-candidates scan of a single-source query into a
-// collision lookup — the single-source/top-k optimization direction the
-// paper's Section 7 leaves as future work (following Fogaras–Rácz's
-// fingerprint trick) — and doubles as the reverse map needed for
-// incremental index maintenance (which walks visit a changed node).
+// MeetIndex inverts a walk index by (walk, step, node): for every walk
+// slot i, step s and node x it lists, in ascending order, the sources
+// whose walk i is at x at step s. Algorithm 1 couples walk i of u only
+// with walk i of another source, so keying the cells by walk as well
+// lets a collision enumeration read exactly u's own n_w*(t+1) cells and
+// every source it finds there is a coupled co-location. It turns the
+// all-candidates scan of a single-source query into a collision lookup —
+// the single-source/top-k optimization direction the paper's Section 7
+// leaves as future work (following Fogaras–Rácz's fingerprint trick).
+//
+// Storage is 4*(n*n_w*(t+1)+1) bytes of offsets plus 4 bytes per live
+// walk position; when every walk stays live for all t+1 positions the
+// two halves are equal.
 type MeetIndex struct {
 	ix *Index
-	// For step s and node v, slots are at
-	// entries[offsets[s*n+v] : offsets[s*n+v+1]].
+	// Cell (i*(t+1)+s)*n + x lists its sources at
+	// entries[offsets[cell] : offsets[cell+1]].
 	offsets []int32
-	entries []Slot
+	entries []hin.NodeID
 }
 
-// Slot identifies one stored walk.
-type Slot struct {
-	Source hin.NodeID
-	Walk   int32
-}
+// meetChunk is how many nodes' walk views a build worker holds at once.
+// Within a chunk the worker goes walk by walk, so one walk's n*(t+1)
+// counters stay in cache while the chunk's positions land in them; on a
+// lazy index the chunk's views also pin their decoded blocks, so every
+// block is fetched once per worker however small the cache budget.
+const meetChunk = 512
 
-// maxCountBytes caps the transient per-worker counting arrays of the
-// parallel build (workers * cells * 4 bytes). Past the cap, fewer workers
-// are used; the output is identical either way.
-const maxCountBytes = 256 << 20
-
-// BuildMeetIndex inverts ix, counting and filling in parallel across
-// source chunks. The result is byte-identical to a serial build: entries
-// within a cell appear in increasing (source, walk) order regardless of
-// worker count.
+// BuildMeetIndex inverts ix, splitting the walk slots across
+// GOMAXPROCS workers. Every cell belongs to exactly one walk slot, so
+// the workers write disjoint ranges and the result is byte-identical
+// for any worker count.
 func BuildMeetIndex(ix *Index) *MeetIndex {
 	return buildMeetIndex(ix, runtime.GOMAXPROCS(0))
 }
 
 func buildMeetIndex(ix *Index, workers int) *MeetIndex {
-	n := ix.n
-	steps := ix.stride
-	cells := n * steps
-	if workers > n {
-		workers = n
-	}
-	if workers > 1 && int64(workers)*int64(cells)*4 > maxCountBytes {
-		workers = int(maxCountBytes / (int64(cells) * 4))
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	n, nw := ix.n, ix.nw
+	walkCells := n * ix.stride
+	m := &MeetIndex{ix: ix, offsets: make([]int32, nw*walkCells+1)}
+	workers = max(1, min(workers, nw))
 
-	// Contiguous source chunks. Each worker counts, and later fills, only
-	// its own sources; chunk order matches serial iteration order, which
-	// is what keeps the parallel fill byte-identical.
-	chunk := (n + workers - 1) / workers
-	counts := make([][]int32, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			counts[w] = make([]int32, cells)
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			c := make([]int32, cells)
-			for v := lo; v < hi; v++ {
-				for i := 0; i < ix.nw; i++ {
-					wk := ix.Walk(hin.NodeID(v), i)
-					l := ix.WalkLen(hin.NodeID(v), i)
-					for s := 0; s < l; s++ {
-						c[s*n+int(wk[s])]++
-					}
-				}
+	// Count each cell's sources into its own offset slot, and each
+	// walk's entries.
+	walkEntries := make([]int32, nw)
+	m.eachWalkRange(workers, func(lo, hi int) {
+		m.scan(lo, hi, false)
+		for i := lo; i < hi; i++ {
+			var sum int32
+			for _, k := range m.offsets[i*walkCells : (i+1)*walkCells] {
+				sum += k
 			}
-			counts[w] = c
-		}(w, lo, hi)
+			walkEntries[i] = sum
+		}
+	})
+	walkBase := make([]int32, nw)
+	var total int32
+	for i, k := range walkEntries {
+		walkBase[i] = total
+		total += k
 	}
-	wg.Wait()
+	m.offsets[nw*walkCells] = total
+	m.entries = make([]hin.NodeID, total)
 
-	// Prefix-sum cells into offsets, and rewrite each worker's count
-	// entry into its cursor start within the cell: worker w's entries for
-	// a cell begin after the entries of all lower-indexed (= lower source
-	// id) workers. That reproduces the serial order exactly.
-	m := &MeetIndex{ix: ix, offsets: make([]int32, cells+1)}
-	total := int32(0)
-	for cell := 0; cell < cells; cell++ {
-		m.offsets[cell] = total
-		for w := 0; w < workers; w++ {
-			c := counts[w][cell]
-			counts[w][cell] = total
-			total += c
-		}
-	}
-	m.offsets[cells] = total
-	m.entries = make([]Slot, total)
-
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(cursor []int32, lo, hi int) {
-			defer wg.Done()
-			for v := lo; v < hi; v++ {
-				for i := 0; i < ix.nw; i++ {
-					wk := ix.Walk(hin.NodeID(v), i)
-					l := ix.WalkLen(hin.NodeID(v), i)
-					for s := 0; s < l; s++ {
-						cell := s*n + int(wk[s])
-						m.entries[cursor[cell]] = Slot{Source: hin.NodeID(v), Walk: int32(i)}
-						cursor[cell]++
-					}
-				}
+	// Turn the counts into cell starts and fill with the starts as
+	// cursors (sources arrive in ascending order). That leaves each slot
+	// at its cell's end; shifting every walk's slots up by one cell
+	// restores the starts.
+	m.eachWalkRange(workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sum := walkBase[i]
+			cnt := m.offsets[i*walkCells : (i+1)*walkCells]
+			for c, k := range cnt {
+				cnt[c] = sum
+				sum += k
 			}
-		}(counts[w], lo, hi)
-	}
-	wg.Wait()
+		}
+		m.scan(lo, hi, true)
+		for i := lo; i < hi; i++ {
+			cur := m.offsets[i*walkCells : (i+1)*walkCells]
+			copy(cur[1:], cur[:len(cur)-1])
+			cur[0] = walkBase[i]
+		}
+	})
 	return m
 }
 
-// Repair derives the meet index of newIx from an existing meet index by
-// patching only the contributions of touched sources: entries of
-// untouched sources are carried over, old entries of touched sources are
-// dropped, and the touched sources' new walks are merged back in. The
-// result is byte-identical to BuildMeetIndex(newIx) — same offsets, same
-// per-cell (source, walk) entry order — at O(entries) copy cost instead
-// of a full counting pass over every source, which is what makes small
-// commits cheap. newIx is typically the output of Index.Refresh and
-// touched its RefreshStats.Touched table; newIx may have more nodes than
-// the old index (growth appends cells per step). The receiver is not
-// mutated, so the old snapshot's meet index keeps serving.
+// eachWalkRange runs fn over contiguous walk-slot ranges, one per
+// worker, and waits for all of them.
+func (m *MeetIndex) eachWalkRange(workers int, fn func(lo, hi int)) {
+	nw := m.ix.nw
+	chunk := (nw + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < nw; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, min(lo+chunk, nw))
+	}
+	wg.Wait()
+}
+
+// scan visits every live position of walk slots [lo, hi), sources
+// ascending within each walk, and bumps the position's cell slot; with
+// fill set it first files the source at the slot's value.
+func (m *MeetIndex) scan(lo, hi int, fill bool) {
+	ix := m.ix
+	n := ix.n
+	views := make([]NodeView, 0, meetChunk)
+	for v0 := 0; v0 < n; v0 += meetChunk {
+		views = views[:0]
+		for v := v0; v < min(v0+meetChunk, n); v++ {
+			views = append(views, ix.View(hin.NodeID(v)))
+		}
+		for i := lo; i < hi; i++ {
+			base := i * ix.stride * n
+			for j, vw := range views {
+				w := vw.Walk(i)
+				for s, l := 0, vw.Len(i); s < l; s++ {
+					c := base + s*n + int(w[s])
+					if fill {
+						m.entries[m.offsets[c]] = hin.NodeID(v0 + j)
+					}
+					m.offsets[c]++
+				}
+			}
+		}
+	}
+}
+
+// Repair returns the meet index of newIx, the successor of the
+// receiver's walk index (typically Index.Refresh's output, with touched
+// its RefreshStats.Touched table; newIx may have more nodes). It
+// validates that the two indexes are compatible and rebuilds: the
+// walk-keyed build is a counting pass plus a fill over the walks,
+// cheaper than patching every cell of the touched sources. The receiver
+// is not mutated, so the old snapshot's meet index keeps serving.
 func (m *MeetIndex) Repair(newIx *Index, touched []bool) (*MeetIndex, error) {
 	old := m.ix
 	if newIx.nw != old.nw || newIx.stride != old.stride {
@@ -158,123 +158,14 @@ func (m *MeetIndex) Repair(newIx *Index, touched []bool) (*MeetIndex, error) {
 		return nil, fmt.Errorf("walk: repair node count %d -> %d with %d touched flags",
 			old.n, newIx.n, len(touched))
 	}
-	n, n2 := old.n, newIx.n
-	steps := newIx.stride
-	cells2 := n2 * steps
-
-	// Per-cell add (touched sources' new walks) and sub (touched sources'
-	// old walks) counts, in the NEW cell space.
-	add := make([]int32, cells2)
-	sub := make([]int32, cells2)
-	for v := 0; v < n2; v++ {
-		if !touched[v] {
-			continue
-		}
-		for i := 0; i < newIx.nw; i++ {
-			wk := newIx.Walk(hin.NodeID(v), i)
-			l := newIx.WalkLen(hin.NodeID(v), i)
-			for s := 0; s < l; s++ {
-				add[s*n2+int(wk[s])]++
-			}
-		}
-		if v >= n {
-			continue
-		}
-		for i := 0; i < old.nw; i++ {
-			wk := old.Walk(hin.NodeID(v), i)
-			l := old.WalkLen(hin.NodeID(v), i)
-			for s := 0; s < l; s++ {
-				sub[s*n2+int(wk[s])]++
-			}
-		}
-	}
-
-	out := &MeetIndex{ix: newIx, offsets: make([]int32, cells2+1)}
-	total := int32(0)
-	for c2 := 0; c2 < cells2; c2++ {
-		out.offsets[c2] = total
-		s, v := c2/n2, c2%n2
-		oldCount := int32(0)
-		if v < n {
-			c1 := s*n + v
-			oldCount = m.offsets[c1+1] - m.offsets[c1]
-		}
-		total += oldCount - sub[c2] + add[c2]
-	}
-	out.offsets[cells2] = total
-	out.entries = make([]Slot, total)
-
-	// Mini inverted index over only the touched sources' new walks. The
-	// fill iterates sources (then walks) in ascending order, so each
-	// cell's run is already in global (source, walk) order.
-	patchOff := make([]int32, cells2+1)
-	pt := int32(0)
-	for c := 0; c < cells2; c++ {
-		patchOff[c] = pt
-		pt += add[c]
-		add[c] = patchOff[c] // reuse as fill cursor
-	}
-	patchOff[cells2] = pt
-	patch := make([]Slot, pt)
-	for v := 0; v < n2; v++ {
-		if !touched[v] {
-			continue
-		}
-		for i := 0; i < newIx.nw; i++ {
-			wk := newIx.Walk(hin.NodeID(v), i)
-			l := newIx.WalkLen(hin.NodeID(v), i)
-			for s := 0; s < l; s++ {
-				c := s*n2 + int(wk[s])
-				patch[add[c]] = Slot{Source: hin.NodeID(v), Walk: int32(i)}
-				add[c]++
-			}
-		}
-	}
-
-	// Per-cell merge: old entries minus touched sources, merged with the
-	// patch run. Both inputs are sorted by (source, walk) and their
-	// source sets are disjoint (patch sources are touched, kept old
-	// entries are not), so a strict-less merge reproduces the canonical
-	// order exactly.
-	for c2 := 0; c2 < cells2; c2++ {
-		s, v := c2/n2, c2%n2
-		var oldEnts []Slot
-		if v < n {
-			c1 := s*n + v
-			oldEnts = m.entries[m.offsets[c1]:m.offsets[c1+1]]
-		}
-		p := patch[patchOff[c2]:patchOff[c2+1]]
-		dst := out.entries[out.offsets[c2]:out.offsets[c2+1]]
-		k, pi := 0, 0
-		for _, e := range oldEnts {
-			if touched[e.Source] {
-				continue
-			}
-			for pi < len(p) && (p[pi].Source < e.Source ||
-				(p[pi].Source == e.Source && p[pi].Walk < e.Walk)) {
-				dst[k] = p[pi]
-				k++
-				pi++
-			}
-			dst[k] = e
-			k++
-		}
-		for ; pi < len(p); pi++ {
-			dst[k] = p[pi]
-			k++
-		}
-		if k != len(dst) {
-			return nil, fmt.Errorf("walk: repair cell %d filled %d of %d entries", c2, k, len(dst))
-		}
-	}
-	return out, nil
+	return BuildMeetIndex(newIx), nil
 }
 
-// At returns the slots whose walk visits node at the given step (aliased,
-// do not modify).
-func (m *MeetIndex) At(step int, node hin.NodeID) []Slot {
-	cell := step*m.ix.n + int(node)
-	return m.entries[m.offsets[cell]:m.offsets[cell+1]]
+// At returns the sources whose walk i is at node x at step s, ascending
+// (aliased, do not modify).
+func (m *MeetIndex) At(i, s int, x hin.NodeID) []hin.NodeID {
+	c := (i*m.ix.stride+s)*m.ix.n + int(x)
+	return m.entries[m.offsets[c]:m.offsets[c+1]]
 }
 
 // Collision is a first-meeting event between the query's walks and
@@ -285,30 +176,31 @@ type Collision struct {
 	Tau   int   // first-meeting step
 }
 
-type collisionKey struct {
-	other hin.NodeID
-	walk  int32
+// meetMark is one source's per-enumeration state: the last walk slot
+// (plus one) in which it met the query, and how many walk slots met.
+type meetMark struct {
+	walk, count int32
 }
 
-// collisionScratch holds the per-enumeration map so repeated Collisions
-// calls (every single-source and top-k query runs one) reuse one
-// allocation instead of growing a fresh map each time.
-var collisionScratch = sync.Pool{
-	New: func() any {
-		m := make(map[collisionKey]int, 256)
-		return &m
-	},
+// collisionScratch is the pooled per-enumeration state: a mark per
+// source, a bitmap of the sources that met, and the collisions in
+// enumeration order. Marks and bitmap are all zero between uses.
+type collisionScratch struct {
+	marks []meetMark
+	met   []uint64
+	raw   []Collision
 }
+
+var collisionPool = sync.Pool{New: func() any { return new(collisionScratch) }}
 
 // Collisions enumerates, for the query node u, every coupled first
 // meeting against every other source: for each walk slot i and the
-// earliest step s where some walk (v, i) visits the same node as walk
-// (u, i). The result is grouped by construction order; callers aggregate
-// per Other.
+// earliest step s where walk (v, i) visits the same node as walk (u, i).
+// The result is sorted by Other, then Walk.
 //
-// Cost is proportional to the total number of co-location events of u's
-// walks rather than to n * n_w * t, which is what makes single-source
-// queries cheap on sparse meeting structures.
+// It reads only u's own cells — one per live position of u's walks —
+// so its cost is those n_w*(t+1) cell reads plus the co-locations found
+// in them, rather than n * n_w walk scans.
 func (m *MeetIndex) Collisions(u hin.NodeID) []Collision {
 	return m.CollisionsAppend(nil, u)
 }
@@ -318,46 +210,67 @@ func (m *MeetIndex) Collisions(u hin.NodeID) []Collision {
 // once the buffer has grown to the query's collision count.
 func (m *MeetIndex) CollisionsAppend(buf []Collision, u hin.NodeID) []Collision {
 	ix := m.ix
-	firstp := collisionScratch.Get().(*map[collisionKey]int)
-	first := *firstp
-	clear(first)
+	sc := collisionPool.Get().(*collisionScratch)
+	if len(sc.marks) < ix.n {
+		sc.marks = make([]meetMark, ix.n)
+		sc.met = make([]uint64, (ix.n+63)/64)
+	}
+	marks := sc.marks
+	// Walks and steps ascend, so the first time a source shows up in
+	// walk i's cells is its first meeting in walk i.
+	raw := sc.raw[:0]
+	vu := ix.View(u)
 	for i := 0; i < ix.nw; i++ {
-		w := ix.Walk(u, i)
-		l := ix.WalkLen(u, i)
-		for s := 0; s < l; s++ {
-			for _, slot := range m.At(s, hin.NodeID(w[s])) {
-				if slot.Walk != int32(i) || slot.Source == u {
-					continue // only the coupled walk counts
+		w := vu.Walk(i)
+		stamp := int32(i + 1)
+		for s, l := 0, vu.Len(i); s < l; s++ {
+			for _, o := range m.At(i, s, hin.NodeID(w[s])) {
+				mk := &marks[o]
+				if mk.walk == stamp || o == u {
+					continue
 				}
-				k := collisionKey{slot.Source, slot.Walk}
-				if old, ok := first[k]; !ok || s < old {
-					first[k] = s
-				}
+				mk.walk = stamp
+				mk.count++
+				sc.met[o>>6] |= 1 << (uint(o) & 63)
+				raw = append(raw, Collision{Other: o, Walk: int32(i), Tau: s})
 			}
 		}
 	}
-	start := len(buf)
-	for k, s := range first {
-		buf = append(buf, Collision{Other: k.other, Walk: k.walk, Tau: s})
-	}
-	collisionScratch.Put(firstp)
-	out := buf[start:]
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Other != out[b].Other {
-			return out[a].Other < out[b].Other
+
+	// Group by source: one pass over the bitmap turns each met source's
+	// count into its group's start, then a stable scatter keeps walks
+	// ascending within each group.
+	var pos int32
+	for wi, word := range sc.met[:(ix.n+63)/64] {
+		for ; word != 0; word &= word - 1 {
+			mk := &marks[wi*64+bits.TrailingZeros64(word)]
+			mk.count, pos = pos, pos+mk.count
 		}
-		return out[a].Walk < out[b].Walk
-	})
+		sc.met[wi] = 0
+	}
+	start := len(buf)
+	buf = slices.Grow(buf, len(raw))[:start+len(raw)]
+	out := buf[start:]
+	for _, col := range raw {
+		mk := &marks[col.Other]
+		out[mk.count] = col
+		mk.count++
+	}
+	for _, col := range raw {
+		marks[col.Other] = meetMark{}
+	}
+	sc.raw = raw
+	collisionPool.Put(sc)
 	return buf
 }
 
-// Entries reports the total number of inverted-index slots — the sum
+// Entries reports the total number of inverted-index entries — the sum
 // over all stored walks of their non-terminated positions. The query
-// planner uses it to estimate the expected collision count of a
-// single-source enumeration (engine.CollectStats).
+// planner prices a collision enumeration from it (engine.CollectStats).
 func (m *MeetIndex) Entries() int64 { return int64(len(m.entries)) }
 
-// MemoryBytes estimates the inverted index storage.
+// MemoryBytes reports the inverted index storage: 4 bytes per offset
+// and per entry.
 func (m *MeetIndex) MemoryBytes() int64 {
-	return int64(len(m.offsets))*4 + int64(len(m.entries))*8
+	return int64(len(m.offsets))*4 + int64(len(m.entries))*4
 }

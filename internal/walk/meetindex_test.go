@@ -1,78 +1,140 @@
 package walk
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"semsim/internal/hin"
 )
 
+// TestMeetIndexAt: every live walk position is filed exactly once, in
+// the cell of its own walk slot, step and node, with each cell's
+// sources strictly ascending — on a graph that spans more than one
+// build chunk.
 func TestMeetIndexAt(t *testing.T) {
-	g := braid(t, 7)
+	g := braid(t, meetChunk+9)
 	ix, err := Build(g, Options{NumWalks: 5, Length: 6, Seed: 3})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	m := BuildMeetIndex(ix)
-	// Every walk position must be present in the inverted index.
+	var live int64
 	for v := 0; v < g.NumNodes(); v++ {
 		for i := 0; i < 5; i++ {
 			w := ix.Walk(hin.NodeID(v), i)
-			for s, node := range w {
-				if node == Stop {
-					break
-				}
-				found := false
-				for _, slot := range m.At(s, hin.NodeID(node)) {
-					if slot.Source == hin.NodeID(v) && slot.Walk == int32(i) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("slot (%d,%d) missing at step %d node %d", v, i, s, node)
+			for s := 0; s < ix.WalkLen(hin.NodeID(v), i); s++ {
+				live++
+				if !slices.Contains(m.At(i, s, hin.NodeID(w[s])), hin.NodeID(v)) {
+					t.Fatalf("source %d walk %d missing at step %d node %d", v, i, s, w[s])
 				}
 			}
 		}
 	}
-	if m.MemoryBytes() <= 0 {
-		t.Error("MemoryBytes not positive")
+	for i := 0; i < 5; i++ {
+		for s := 0; s <= 6; s++ {
+			for x := 0; x < g.NumNodes(); x++ {
+				cell := m.At(i, s, hin.NodeID(x))
+				for j := 1; j < len(cell); j++ {
+					if cell[j] <= cell[j-1] {
+						t.Fatalf("cell (%d,%d,%d) not strictly ascending: %v", i, s, x, cell)
+					}
+				}
+			}
+		}
+	}
+	if m.Entries() != live {
+		t.Fatalf("Entries = %d, want %d live positions", m.Entries(), live)
+	}
+	cells := int64(g.NumNodes() * 5 * 7)
+	if got, want := m.MemoryBytes(), 4*(cells+1)+4*live; got != want {
+		t.Errorf("MemoryBytes = %d, want %d", got, want)
 	}
 }
 
-// TestCollisionsMatchMeet: the inverted enumeration finds exactly the
-// pairs and taus the direct Meet probe finds.
-func TestCollisionsMatchMeet(t *testing.T) {
-	g := braid(t, 12)
-	ix, err := Build(g, Options{NumWalks: 20, Length: 8, Seed: 5})
-	if err != nil {
-		t.Fatalf("Build: %v", err)
+// roughGraph has what uniform test graphs lack: sources without
+// in-edges (their walks Stop early), self-loops (a walk can stay put)
+// and parallel edges (an in-neighbor drawn with double weight).
+func roughGraph(t *testing.T, n int) *hin.Graph {
+	t.Helper()
+	b := hin.NewBuilder()
+	for i := 0; i < n; i++ {
+		b.AddNode(fmt.Sprintf("r%d", i), "t")
 	}
-	m := BuildMeetIndex(ix)
-	for u := 0; u < g.NumNodes(); u++ {
-		// Direct probe: tau per (other, walk).
-		want := map[[2]int32]int{}
-		for v := 0; v < g.NumNodes(); v++ {
-			if v == u {
-				continue
-			}
-			for i := 0; i < ix.NumWalks(); i++ {
+	for i := 3; i < n; i++ {
+		b.AddEdge(hin.NodeID((i*7+1)%n), hin.NodeID(i), "e", 1)
+		if i%3 == 0 {
+			b.AddEdge(hin.NodeID(i), hin.NodeID(i), "self", 1)
+		}
+		if i%4 == 0 {
+			b.AddEdge(hin.NodeID(i-1), hin.NodeID(i), "e", 1)
+			b.AddEdge(hin.NodeID(i-1), hin.NodeID(i), "e", 1)
+		}
+	}
+	return b.MustBuild()
+}
+
+// checkCollisions compares Collisions(u) for every u with the direct
+// Meet probe over every other source and walk slot, which yields the
+// collisions in the promised (Other, Walk) order.
+func checkCollisions(t *testing.T, ix *Index, m *MeetIndex) {
+	t.Helper()
+	n := ix.Graph().NumNodes()
+	for u := 0; u < n; u++ {
+		var want []Collision
+		for v := 0; v < n; v++ {
+			for i := 0; v != u && i < ix.NumWalks(); i++ {
 				if tau, ok := ix.Meet(hin.NodeID(u), hin.NodeID(v), i); ok {
-					want[[2]int32{int32(v), int32(i)}] = tau
+					want = append(want, Collision{Other: hin.NodeID(v), Walk: int32(i), Tau: tau})
 				}
 			}
 		}
-		got := map[[2]int32]int{}
-		for _, col := range m.Collisions(hin.NodeID(u)) {
-			got[[2]int32{int32(col.Other), col.Walk}] = col.Tau
+		if got := m.Collisions(hin.NodeID(u)); !slices.Equal(got, want) {
+			t.Fatalf("u=%d: Collisions = %v, want %v", u, got, want)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("u=%d: %d collisions, want %d", u, len(got), len(want))
+	}
+}
+
+// TestCollisionsMatchMeet: the walk-keyed enumeration finds exactly the
+// pairs and taus the direct Meet probe finds, in (Other, Walk) order —
+// on graphs with Stop-terminated walks, self-loops and parallel edges,
+// at every build worker count, on resident and lazy walk indexes, and
+// after a Repair that grows the graph.
+func TestCollisionsMatchMeet(t *testing.T) {
+	g := roughGraph(t, 40)
+	opts := Options{NumWalks: 12, Length: 7, Seed: 17}
+	resident, lazy := lazyFixture(t, g, opts, 1024, 4000, nil)
+	for _, workers := range []int{1, 2, 3, 8} {
+		checkCollisions(t, resident, buildMeetIndex(resident, workers))
+	}
+	serial := buildMeetIndex(resident, 1)
+	lazyMeet := buildMeetIndex(lazy, 3)
+	if !slices.Equal(lazyMeet.offsets, serial.offsets) || !slices.Equal(lazyMeet.entries, serial.entries) {
+		t.Fatal("lazy and resident meet indexes differ")
+	}
+	checkCollisions(t, lazy, lazyMeet)
+
+	grown := grow(t, g, 6)
+	changed, err := hin.ChangedInNeighborhoodsGrown(g, grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ix   *Index
+		meet *MeetIndex
+	}{{"resident", resident, serial}, {"lazy", lazy, lazyMeet}} {
+		ref, st, err := tc.ix.Refresh(grown, changed, 18)
+		if err != nil {
+			t.Fatalf("%s Refresh: %v", tc.name, err)
 		}
-		for k, tau := range want {
-			if got[k] != tau {
-				t.Fatalf("u=%d other=%d walk=%d: tau %d, want %d", u, k[0], k[1], got[k], tau)
-			}
+		repaired, err := tc.meet.Repair(ref, st.Touched)
+		if err != nil {
+			t.Fatalf("%s Repair: %v", tc.name, err)
 		}
+		checkCollisions(t, ref, repaired)
+		// The old epoch's index keeps serving its own walks.
+		checkCollisions(t, tc.ix, tc.meet)
 	}
 }
 
@@ -134,6 +196,8 @@ func TestCollisionsAppendReuse(t *testing.T) {
 	}
 }
 
+// TestCollisionsSorted: collisions come grouped by Other, and by
+// ascending walk slot within each group.
 func TestCollisionsSorted(t *testing.T) {
 	g := braid(t, 9)
 	ix, err := Build(g, Options{NumWalks: 10, Length: 6, Seed: 7})
@@ -142,6 +206,9 @@ func TestCollisionsSorted(t *testing.T) {
 	}
 	m := BuildMeetIndex(ix)
 	cols := m.Collisions(2)
+	if len(cols) == 0 {
+		t.Fatal("no collisions for source 2")
+	}
 	for i := 1; i < len(cols); i++ {
 		if cols[i].Other < cols[i-1].Other {
 			t.Fatal("collisions not grouped by Other")

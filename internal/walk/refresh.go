@@ -8,8 +8,8 @@ import (
 
 // RefreshStats summarizes one incremental repair pass. The facade's
 // mutation path feeds Resampled into the repair metrics and hands
-// Touched to MeetIndex.Repair so the inverted index is patched on the
-// same per-source block basis.
+// Touched to MeetIndex.Repair, which checks it against the refreshed
+// index before rebuilding the inverted index.
 type RefreshStats struct {
 	// Resampled counts walks whose suffix was redrawn because they
 	// visited a node with a changed in-neighborhood.

@@ -127,11 +127,11 @@ func (m *Mutator) fail(err error) {
 
 // Commit applies the batch and publishes the successor epoch. The
 // repair is incremental — only walks through changed in-neighborhoods
-// are resampled, only affected SLING-cache rows and kernel concept
-// pairs are recomputed, the meet index is patched cell-wise — and the
-// result is equivalent to rebuilding the index from scratch on the
-// mutated graph (identical up to Monte-Carlo resampling noise on the
-// repaired walks). Queries racing with Commit never block and never
+// are resampled, and only affected SLING-cache rows and kernel concept
+// pairs are recomputed — while the meet index is rebuilt from the new
+// walks (one counting pass and one fill). The result is equivalent to
+// rebuilding the index from scratch on the mutated graph (identical up
+// to Monte-Carlo resampling noise on the repaired walks). Queries racing with Commit never block and never
 // see a torn state: they run to completion on whichever epoch they
 // loaded first.
 //
@@ -260,7 +260,7 @@ func (m *Mutator) Commit() (CommitStats, error) {
 		est: est, srmc: srmc, cache: cache, kernel: kern}
 	if cur.meet != nil {
 		repairLat := ix.metrics.Histogram("semsim_commit_meet_repair_seconds",
-			"wall time of the cell-wise meet-index patch inside Commit", nil)
+			"wall time of the meet-index rebuild inside Commit", nil)
 		tr := repairLat.Start()
 		snap.meet, err = cur.meet.Repair(newWalks, rst.Touched)
 		repairLat.ObserveSince(tr)

@@ -67,9 +67,9 @@ type IndexOptions struct {
 	Seed int64
 	// Parallel shards walk sampling across CPUs.
 	Parallel bool
-	// MeetIndex additionally builds the inverted (step, node) meeting
-	// index, enabling SingleSource queries and collision-driven TopK
-	// (cost: one extra pass over the walks plus ~2x walk storage).
+	// MeetIndex additionally builds the inverted (walk, step, node)
+	// meeting index, enabling SingleSource queries and collision-driven
+	// TopK (cost: two passes over the walks plus ~2x walk storage).
 	MeetIndex bool
 	// LazyWalks selects the lazy walk residency mode in OpenIndexFile:
 	// only the v3 block directory is read up front, and walk blocks are
@@ -84,7 +84,7 @@ type IndexOptions struct {
 	// meaningful with LazyWalks.
 	WalkCacheBytes int64
 	// Workers sizes the scoring pool used by TopK, SingleSource and
-	// BatchQuery. 0 uses runtime.NumCPU(); 1 forces serial scoring.
+	// BatchQuery. 0 uses runtime.GOMAXPROCS(0); 1 forces serial scoring.
 	Workers int
 	// Metrics, when non-nil, attaches the observability layer: build
 	// phases, query/top-k/single-source/batch latency histograms,
@@ -692,7 +692,7 @@ func (ix *Index) TopKSemBounded(u NodeID, k int) []Scored {
 // naming it. On the mc backend all workers share the index's estimator
 // and SO cache, so batches warm the cache for subsequent queries.
 // workers <= 0 uses the configured pool size (IndexOptions.Workers,
-// defaulting to NumCPU). Results align positionally with pairs and
+// defaulting to GOMAXPROCS). Results align positionally with pairs and
 // match a serial Query loop exactly.
 func (ix *Index) BatchQuery(pairs [][2]NodeID, workers int) ([]float64, error) {
 	return ix.snap.Load().eng.QueryBatch(pairs, workers)
