@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -183,12 +184,16 @@ type benchEnv struct {
 	idxM *semsim.Index // public facade index with metrics enabled
 }
 
-var envCache *benchEnv
+// envCache holds one environment per GOMAXPROCS value: the estimators
+// size their scoring pools from it at construction, so a -cpu 1,2 run
+// must score each count with its own pools, not the first count's.
+var envCache = map[int]*benchEnv{}
 
 func env(b *testing.B) *benchEnv {
 	b.Helper()
-	if envCache != nil {
-		return envCache
+	procs := runtime.GOMAXPROCS(0)
+	if e := envCache[procs]; e != nil {
+		return e
 	}
 	d, err := datagen.Amazon(datagen.AmazonConfig{Items: 600, Seed: 99})
 	if err != nil {
@@ -272,9 +277,10 @@ func env(b *testing.B) *benchEnv {
 	if err != nil {
 		b.Fatal(err)
 	}
-	envCache = &benchEnv{d: d, ix: ix, est: est, prn: prn, prnM: prnM, krn: krn, kern: kern,
+	e := &benchEnv{d: d, ix: ix, est: est, prn: prn, prnM: prnM, krn: krn, kern: kern,
 		meet: meet, srv: srv, srvM: srvM, sr: sr, idx: idx, idxM: idxM}
-	return envCache
+	envCache[procs] = e
+	return e
 }
 
 func pairAt(e *benchEnv, i int) (hin.NodeID, hin.NodeID) {
@@ -612,10 +618,10 @@ func BenchmarkLoadV3(b *testing.B) {
 
 // shadowEnv holds the shadow-overhead twin indexes. They live on a
 // smaller AMiner graph than the main benchEnv because the shadow-on
-// index builds an exact reference backend at construction — affordable
-// here, hours on the Amazon graph's retained pair set. The smaller
-// graph also makes the comparison conservative: queries are cheaper, so
-// the fixed per-query shadow cost is a larger fraction of ns/op.
+// index builds an exact reference backend — affordable here, hours on
+// the Amazon graph's retained pair set. The smaller graph also makes
+// the comparison conservative: queries are cheaper, so the fixed
+// per-query shadow cost is a larger fraction of ns/op.
 type shadowEnv struct {
 	off *semsim.Index // instrumented, shadow disabled
 	on  *semsim.Index // identical, shadow verifier at 1/256
@@ -649,6 +655,12 @@ func shadowTwins(b *testing.B) *shadowEnv {
 	on, err := semsim.BuildIndex(d.Graph, d.Lin, opts)
 	if err != nil {
 		b.Fatal(err)
+	}
+	// The reference is built in the background; until it is ready every
+	// sample is skipped, and BenchmarkQueryShadowSampled would time the
+	// skip instead of the sampled-and-queued path.
+	if !semsim.WaitShadowReference(on, 5*time.Minute) {
+		b.Fatal("shadow reference not ready after 5 minutes")
 	}
 	shadowEnvCache = &shadowEnv{off: off, on: on, n: d.Graph.NumNodes()}
 	return shadowEnvCache

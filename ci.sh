@@ -26,7 +26,8 @@
 #      cross-backend conformance harness of internal/engine), plus the
 #      whole suite at -cpu 1,2,4 (the meet-index build and the scoring
 #      pools split their work by GOMAXPROCS, so byte-identity and
-#      strategy identity must hold at every CPU count)
+#      strategy identity must hold at every CPU count), plus the
+#      background shadow-reference builder's tests at -count=10
 #   3. fuzz seed corpora as unit tests      (IO robustness regression,
 #      plus the backend-agreement differential fuzzer's seeds)
 #   4. bench drift guard                    (perf regression — reruns
@@ -103,6 +104,11 @@ if grep '^semsim_shadow_drift_total{severity="critical"}' "$tmpdir/metrics.after
     | grep -qv ' 0$'; then
     echo "ci: shadow verifier saw critical drift under mutate churn"; exit 1
 fi
+# The shadow reference is built in the background after readiness and
+# after every commit; a reference that never publishes leaves every
+# sample skipped and the verifier silent.
+grep -q '^semsim_shadow_checked_total [1-9]' "$tmpdir/metrics.after" \
+    || { echo "ci: shadow verifier checked nothing: no shadow reference was published"; exit 1; }
 echo "==> tier 1: diagnostics bundle smoke (/debug/diag + semsim diag round-trip)"
 # Flight recorder: the loadgen traffic above must be in the ring, and
 # its deterministic lg-* request IDs must join back to the query log.
@@ -197,6 +203,11 @@ go test -race ./internal/engine/...
 
 echo "==> tier 2: mutator churn stress under race"
 go test -race -run 'TestMutatorChurnStress|TestMutatorSnapshotIsolation' -count=1 .
+
+echo "==> tier 2: background shadow reference builder under race"
+go test -race -count=10 -timeout 300s \
+    -run 'TestShadowEndToEnd|TestShadowSkipsUntilReference|TestShadowNewestEpochWins|TestShadowCloseStopsInFlightBuild|TestSolveStopsAtNextSweep' \
+    . ./internal/engine/
 
 echo "==> tier 3: fuzz seed corpora"
 go test ./internal/walk/ -run Fuzz

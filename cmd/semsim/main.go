@@ -87,9 +87,9 @@ func main() {
 		debugAddr  = fs.String("debug-addr", "", "serve: listen address for the HTTP/debug server (e.g. :6060)")
 		warmup     = fs.Int("warmup", 4, "serve: warm-up queries run at startup to populate the metrics")
 		shadowRate = fs.Int("shadow-rate", 256,
-			"serve: re-score 1 in N queries on an exact reference backend off the hot path; a linear reference also fills the dense SO table queries read (0 disables shadow verification)")
+			"serve: re-score 1 in N queries on an exact reference backend off the hot path; the reference is built in the background after readiness and after each /mutate, and samples are skipped until it is ready; a linear reference also fills the dense SO table queries read (0 disables shadow verification)")
 		shadowBackend = fs.String("shadow-backend", "",
-			"serve: reference backend for shadow verification (linear|exact|reduced; empty reuses an exact -backend, else linear up to its node cap, reduced above)")
+			"serve: reference backend for shadow verification (linear|exact|reduced; empty reuses an exact -backend, else linear up to its node cap and none above it)")
 		queryLog = fs.String("query-log", "",
 			"serve: append one JSON wide event per request to this file ('-' = stdout)")
 		queryLogMax = fs.Int64("query-log-max-bytes", 0,

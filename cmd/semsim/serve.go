@@ -49,7 +49,11 @@ package main
 // re-scores 1 in -shadow-rate queries on an exact reference backend —
 // by default the linear solve, which reads its normalization from the
 // dense SO table the queries then read too (semsim_shadow_* series; 0
-// disables) — and the runtime health collector
+// disables). The reference is built in the background, so neither
+// readiness nor a /mutate waits for its solve; samples taken before it
+// is ready are counted as skipped, and above the linear node cap no
+// reference is built unless -shadow-backend names one. The runtime
+// health collector
 // polls memory/GC/goroutine gauges every -health-interval
 // (semsim_runtime_* series). With -query-log PATH ("-" for stdout)
 // every request emits one structured JSON wide event
@@ -295,9 +299,9 @@ func runServe(g *semsim.Graph, sem semsim.Measure, cfg serveConfig, ready chan<-
 	}
 	fmt.Fprint(logw, tr.String())
 	// Collect the build's scratch before serving. A cycle that ran
-	// mid-build, while the solve's scratch was live, would otherwise
-	// set the heap goal, and with it the serving peak RSS, at twice
-	// that transient live set.
+	// mid-build, while that scratch was live, would otherwise set the
+	// heap goal, and with it the serving peak RSS, at twice that
+	// transient live set.
 	runtime.GC()
 
 	reg.PublishExpvar("semsim")

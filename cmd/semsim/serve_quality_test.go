@@ -228,12 +228,23 @@ func TestServeQualityTelemetry(t *testing.T) {
 		return string(body)
 	}
 
-	get("/query?u=ada&v=ben")
+	// The shadow reference is built in the background after readiness:
+	// keep querying until a sample was verified against it and the
+	// health ticker has polled, within a deadline.
 	get("/explain?u=ada&v=eve")
-	// Give the shadow worker and the health ticker a beat.
-	time.Sleep(150 * time.Millisecond)
-
-	metrics := get("/metrics")
+	var metrics string
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		get("/query?u=ada&v=ben")
+		metrics = get("/metrics")
+		if !strings.Contains(metrics, "semsim_shadow_checked_total 0\n") &&
+			!strings.Contains(metrics, "semsim_runtime_goroutines 0\n") {
+			break
+		}
+		if time.Now().After(deadline) {
+			break // the checks below report what is missing
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 	for _, series := range []string{
 		"semsim_shadow_checked_total",
 		"semsim_shadow_abs_err_bucket",

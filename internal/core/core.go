@@ -18,6 +18,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -78,6 +79,12 @@ type Result struct {
 // fixpoint (or the iteration bound). The semantic measure must satisfy the
 // three admissibility constraints of Section 2.2 (semantic.Validate).
 func Iterative(g *hin.Graph, sem semantic.Measure, opts IterOptions) (*Result, error) {
+	return IterativeContext(context.Background(), g, sem, opts)
+}
+
+// IterativeContext is Iterative stopping between iterations once ctx is
+// done; it then returns ctx.Err() and no result.
+func IterativeContext(ctx context.Context, g *hin.Graph, sem semantic.Measure, opts IterOptions) (*Result, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
@@ -118,6 +125,9 @@ func Iterative(g *hin.Graph, sem semantic.Measure, opts IterOptions) (*Result, e
 	prev := simmat.New(n)
 	res := &Result{}
 	for k := 0; k < opts.MaxIterations; k++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		next := simmat.New(n)
 		forEachRow(n, opts.Parallel, func(u int) {
 			iu := g.InNeighbors(hin.NodeID(u))

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 
 	"semsim/internal/core"
@@ -39,7 +40,7 @@ func (b *exactBackend) semOf(u, v hin.NodeID) float64 {
 	return b.sem.Sim(u, v)
 }
 
-func newExactBackend(cfg Config) (Backend, error) {
+func newExactBackend(ctx context.Context, cfg Config) (Backend, error) {
 	limit := cfg.MaxExactNodes
 	if limit == 0 {
 		limit = DefaultMaxExactNodes
@@ -48,7 +49,7 @@ func newExactBackend(cfg Config) (Backend, error) {
 		return nil, fmt.Errorf("engine: exact backend caps at %d nodes, graph has %d (use the mc or reduced backend)", limit, n)
 	}
 	iters, tol := cfg.fillSolve()
-	res, err := core.Iterative(cfg.Graph, cfg.Sem, core.IterOptions{
+	res, err := core.IterativeContext(ctx, cfg.Graph, cfg.Sem, core.IterOptions{
 		C: cfg.C, MaxIterations: iters, Tol: tol, Parallel: true,
 	})
 	if err != nil {

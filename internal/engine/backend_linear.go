@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -79,7 +80,7 @@ func (b *linearBackend) semOf(u, v hin.NodeID) float64 {
 	return b.sem.Sim(u, v)
 }
 
-func newLinearBackend(cfg Config) (Backend, error) {
+func newLinearBackend(ctx context.Context, cfg Config) (Backend, error) {
 	limit := cfg.MaxLinearNodes
 	if limit == 0 {
 		limit = DefaultMaxLinearNodes
@@ -138,6 +139,9 @@ func newLinearBackend(cfg Config) (Backend, error) {
 	var sweeps int
 	residual := math.Inf(1)
 	for sweeps < maxSweeps && residual > tol {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		sweeps++
 		residual = linearSweep(g, kappa, S, D, x)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 
 	"semsim/internal/hin"
@@ -28,7 +29,7 @@ type mcBackend struct {
 	planner *Planner
 }
 
-func newMCBackend(cfg Config) (Backend, error) {
+func newMCBackend(_ context.Context, cfg Config) (Backend, error) {
 	est := cfg.Estimator
 	walks := cfg.Walks
 	if est == nil {

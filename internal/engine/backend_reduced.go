@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+
 	"semsim/internal/hin"
 	"semsim/internal/pairgraph"
 	"semsim/internal/rank"
@@ -46,7 +48,7 @@ func (b *reducedBackend) semOf(u, v hin.NodeID) float64 {
 	return b.sem.Sim(u, v)
 }
 
-func newReducedBackend(cfg Config) (Backend, error) {
+func newReducedBackend(_ context.Context, cfg Config) (Backend, error) {
 	theta := cfg.Theta
 	if theta == 0 {
 		theta = DefaultReduceTheta

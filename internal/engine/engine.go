@@ -27,6 +27,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -106,8 +107,10 @@ type CostRunner interface {
 var ErrNoSingleSource = fmt.Errorf("engine: backend does not support single-source queries")
 
 // Factory builds a backend from a Config. Factories must not retain the
-// Config beyond construction.
-type Factory func(cfg Config) (Backend, error)
+// Config beyond construction. ctx cancels the construction: the exact
+// and linear factories check it between solve iterations and then
+// return ctx.Err(); the mc and reduced factories ignore it.
+type Factory func(ctx context.Context, cfg Config) (Backend, error)
 
 // DefaultBackend is the name New resolves an empty backend name to.
 const DefaultBackend = "mc"
@@ -144,6 +147,13 @@ func Names() []string {
 // New constructs the named backend ("" selects DefaultBackend). Unknown
 // names list the registered alternatives in the error.
 func New(name string, cfg Config) (Backend, error) {
+	return NewContext(context.Background(), name, cfg)
+}
+
+// NewContext is New with a cancellable construction: the exact and
+// linear backends stop their solve at the next iteration once ctx is
+// done and return ctx.Err().
+func NewContext(ctx context.Context, name string, cfg Config) (Backend, error) {
 	if name == "" {
 		name = DefaultBackend
 	}
@@ -162,7 +172,10 @@ func New(name string, cfg Config) (Backend, error) {
 	if cfg.C == 0 {
 		cfg.C = 0.6
 	}
-	return f(cfg)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return f(ctx, cfg)
 }
 
 // ErrNodeOutOfRange is the sentinel wrapped by every bounds-validation

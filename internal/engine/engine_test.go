@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -217,6 +218,40 @@ func TestExactBackendNodeCap(t *testing.T) {
 	cfg.MaxExactNodes = 8
 	if _, err := New("exact", cfg); err == nil {
 		t.Error("exact backend accepted a graph above MaxExactNodes")
+	}
+}
+
+// stopAfter is a context whose Err reports context.Canceled from its
+// (n+1)-th call on, counting the calls.
+type stopAfter struct {
+	context.Context
+	n, calls int
+}
+
+func (c *stopAfter) Err() error {
+	c.calls++
+	if c.calls > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSolveStopsAtNextSweep: cancelling a construction stops the exact
+// and linear solves at the next iteration boundary with the context's
+// error. NewContext checks once before the factory and each solve once
+// per iteration, so a context cancelled during the first iteration is
+// seen exactly three times.
+func TestSolveStopsAtNextSweep(t *testing.T) {
+	g := testGraph(t, 11, 40, 120)
+	cfg := buildConfig(t, g, testMeasure(12, 40))
+	for _, name := range []string{"exact", "linear"} {
+		ctx := &stopAfter{Context: context.Background(), n: 2}
+		if _, err := NewContext(ctx, name, cfg); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
+		if ctx.calls != 3 {
+			t.Errorf("%s: checked the context %d times, want 3", name, ctx.calls)
+		}
 	}
 }
 

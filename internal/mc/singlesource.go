@@ -47,9 +47,27 @@ func (e *Estimator) SingleSource(u hin.NodeID, meet *walk.MeetIndex) []rank.Scor
 // QueryCost. Parallel workers accumulate into pooled worker-local Costs
 // merged after the join.
 func (e *Estimator) SingleSourceCost(u hin.NodeID, meet *walk.MeetIndex, co *obs.Cost) []rank.Scored {
-	t0 := e.m.singleLat.Start()
 	sc := ssScratchPool.Get().(*ssScratch)
 	defer ssScratchPool.Put(sc)
+	if !e.scoreCollisions(u, meet, co, sc) {
+		return nil
+	}
+	out := make([]rank.Scored, 0, len(sc.groups))
+	for i, g := range sc.groups {
+		if sc.scores[i] > 0 {
+			out = append(out, rank.Scored{Node: g.other, Score: sc.scores[i]})
+		}
+	}
+	return out
+}
+
+// scoreCollisions is the single-source sweep behind SingleSourceCost and
+// TopKWithIndexCost: it scores every node whose walks collide with u's
+// into sc.groups and sc.scores (aligned, ascending node order, zero
+// scores included) and flushes the single-source instruments. It
+// reports false when no walk collides with u's.
+func (e *Estimator) scoreCollisions(u hin.NodeID, meet *walk.MeetIndex, co *obs.Cost, sc *ssScratch) bool {
+	t0 := e.m.singleLat.Start()
 	vu := e.ix.ViewCost(u, co)
 	if co != nil {
 		// The enumeration reads one meet-index cell per live position
@@ -62,7 +80,7 @@ func (e *Estimator) SingleSourceCost(u hin.NodeID, meet *walk.MeetIndex, co *obs
 	cols := sc.cols
 	if len(cols) == 0 {
 		e.finishSingleSource(t0, 0)
-		return nil
+		return false
 	}
 	// Collisions arrive grouped by the colliding node; record the group
 	// boundaries so groups can be scored independently.
@@ -116,6 +134,7 @@ func (e *Estimator) SingleSourceCost(u hin.NodeID, meet *walk.MeetIndex, co *obs
 		sc.scores = make([]float64, len(groups))
 	}
 	scores := sc.scores[:len(groups)]
+	sc.scores = scores
 	clear(scores)
 	workers := e.scoringWorkers(len(groups))
 	if workers <= 1 {
@@ -167,14 +186,8 @@ func (e *Estimator) SingleSourceCost(u hin.NodeID, meet *walk.MeetIndex, co *obs
 		}
 	}
 
-	out := make([]rank.Scored, 0, len(groups))
-	for i, g := range groups {
-		if scores[i] > 0 {
-			out = append(out, rank.Scored{Node: g.other, Score: scores[i]})
-		}
-	}
 	e.finishSingleSource(t0, len(groups))
-	return out
+	return true
 }
 
 // finishSingleSource flushes the single-source instruments: whole-sweep
@@ -194,13 +207,19 @@ func (e *Estimator) TopKWithIndex(u hin.NodeID, k int, meet *walk.MeetIndex) []r
 }
 
 // TopKWithIndexCost is TopKWithIndex charging the inner single-source
-// sweep's work to co (nil co is exactly TopKWithIndex).
+// sweep's work to co (nil co is exactly TopKWithIndex). The heap takes
+// the nonzero scores straight from the sweep's pooled scratch, so no
+// single-source result is materialized.
 func (e *Estimator) TopKWithIndexCost(u hin.NodeID, k int, meet *walk.MeetIndex, co *obs.Cost) []rank.Scored {
 	t0 := e.m.topkLat.Start()
+	sc := ssScratchPool.Get().(*ssScratch)
+	defer ssScratchPool.Put(sc)
 	h := rank.NewTopK(k)
-	for _, s := range e.SingleSourceCost(u, meet, co) {
-		if s.Node != u {
-			h.Push(s)
+	if e.scoreCollisions(u, meet, co, sc) {
+		for i, g := range sc.groups {
+			if s := sc.scores[i]; s > 0 && g.other != u {
+				h.Push(rank.Scored{Node: g.other, Score: s})
+			}
 		}
 	}
 	e.finishTopK(t0, h.Pushes())

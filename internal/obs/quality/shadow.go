@@ -31,9 +31,10 @@ type ShadowConfig struct {
 	// is verified. Values < 1 default to DefaultShadowRate.
 	Rate int
 
-	// Scorer re-scores a pair on the reference backend (exact or
-	// reduced). Called only on the worker goroutine, never on the hot
-	// path. Required.
+	// Scorer re-scores a pair on the reference backend Offer verifies
+	// against (Check takes the reference per sample instead). Called
+	// only on the worker goroutine, never on the hot path. Nil counts
+	// every sampled Offer as skipped.
 	Scorer func(u, v hin.NodeID) (float64, error)
 
 	// WarnThreshold and CritThreshold classify absolute errors into the
@@ -60,11 +61,10 @@ type ShadowConfig struct {
 type shadowSample struct {
 	u, v  hin.NodeID
 	score float64
-	// scorer, when non-nil, overrides the configured reference scorer
-	// for this sample (OfferWith). An epoch-snapshot facade pins each
-	// sample to the scorer of the epoch that produced the estimate, so
-	// samples queued across a commit are never verified against a
-	// different graph's reference.
+	// scorer is the reference this sample is verified against. An
+	// epoch-snapshot facade pins each sample to the reference of the
+	// epoch that produced the estimate (Check), so samples queued across
+	// a commit are never verified against a different graph's truth.
 	scorer func(u, v hin.NodeID) (float64, error)
 }
 
@@ -74,10 +74,13 @@ type shadowSample struct {
 // SLO. A nil *Shadow ignores all calls (the nil-is-off convention), so
 // the hot-path cost of a disabled verifier is one branch.
 //
-// Hot-path contract: Offer is one atomic add, a modulo, and — for the
-// sampled 1/Rate fraction — a non-blocking channel send of a value
-// struct. It never blocks, never allocates, and never changes the score
-// it is handed (shadowing observes, never perturbs).
+// Hot-path contract: Offer (or Sample then Check) is one atomic add, a
+// modulo, and — for the sampled 1/Rate fraction — a non-blocking
+// channel send of a value struct, or a counter bump when the sample has
+// no reference to be verified against. It never blocks, never
+// allocates, and never changes the score it is handed (shadowing
+// observes, never perturbs). Every sampled offer lands in exactly one of
+// the checked, dropped, skipped and errors counters.
 type Shadow struct {
 	rate  uint64
 	queue chan shadowSample
@@ -100,6 +103,7 @@ type Shadow struct {
 
 	checked *obs.Counter
 	dropped *obs.Counter
+	skipped *obs.Counter
 	errors  *obs.Counter
 	warns   *obs.Counter
 	crits   *obs.Counter
@@ -107,12 +111,8 @@ type Shadow struct {
 }
 
 // NewShadow starts a shadow verifier with one background worker.
-// Returns nil (the disabled verifier) if cfg.Scorer is nil. Callers
-// must Close it to stop the worker and drain pending samples.
+// Callers must Close it to stop the worker and drain pending samples.
 func NewShadow(cfg ShadowConfig) *Shadow {
-	if cfg.Scorer == nil {
-		return nil
-	}
 	if cfg.Rate < 1 {
 		cfg.Rate = DefaultShadowRate
 	}
@@ -137,6 +137,8 @@ func NewShadow(cfg ShadowConfig) *Shadow {
 			"Live queries re-scored on the reference backend by the shadow verifier.")
 		s.dropped = r.Counter("semsim_shadow_dropped_total",
 			"Sampled queries dropped because the shadow verification queue was full.")
+		s.skipped = r.Counter("semsim_shadow_skipped_total",
+			"Sampled queries not verified because their index epoch had no shadow reference (yet).")
 		s.errors = r.Counter("semsim_shadow_errors_total",
 			"Shadow verifications that failed on the reference backend.")
 		s.warns = r.Counter(obs.SeriesName("semsim_shadow_drift_total", "severity", "warn"),
@@ -157,32 +159,30 @@ func NewShadow(cfg ShadowConfig) *Shadow {
 	return s
 }
 
-// Offer hands the verifier one live query result. Every Rate-th call is
-// enqueued for re-scoring; the rest — and every call on a nil or closed
-// verifier — return immediately.
+// Offer hands the verifier one live query result, verified against the
+// configured Scorer. Every Rate-th call is enqueued for re-scoring; the
+// rest — and every call on a nil or closed verifier — return
+// immediately.
 func (s *Shadow) Offer(u, v hin.NodeID, score float64) {
-	if s == nil {
-		return
-	}
-	if s.offered.Add(1)%s.rate != 0 {
-		return
-	}
-	select {
-	case s.queue <- shadowSample{u: u, v: v, score: score}:
-	default:
-		s.dropped.Inc()
+	if s.Sample() {
+		s.Check(u, v, score, s.scorer)
 	}
 }
 
-// OfferWith is Offer with a per-sample reference scorer: the sample is
-// verified against scorer instead of the configured one. Callers pass a
-// func value built once per epoch (not a fresh closure per call) to
-// keep the hot path allocation-free.
-func (s *Shadow) OfferWith(u, v hin.NodeID, score float64, scorer func(u, v hin.NodeID) (float64, error)) {
-	if s == nil {
-		return
-	}
-	if s.offered.Add(1)%s.rate != 0 {
+// Sample advances the 1-in-Rate sampler and reports whether this offer
+// is the one to verify (always false on a nil verifier).
+func (s *Shadow) Sample() bool {
+	return s != nil && s.offered.Add(1)%s.rate == 0
+}
+
+// Check queues a sampled result for verification against scorer. A nil
+// scorer — the result's index epoch has no reference yet — counts the
+// sample as skipped, and a full queue drops it; neither blocks. Callers
+// pass a func value built once per reference (not a fresh closure per
+// call) to keep the hot path allocation-free.
+func (s *Shadow) Check(u, v hin.NodeID, score float64, scorer func(u, v hin.NodeID) (float64, error)) {
+	if scorer == nil {
+		s.skipped.Inc()
 		return
 	}
 	select {
@@ -223,11 +223,7 @@ func (s *Shadow) run() {
 }
 
 func (s *Shadow) verify(smp shadowSample) {
-	scorer := smp.scorer
-	if scorer == nil {
-		scorer = s.scorer
-	}
-	ref, err := scorer(smp.u, smp.v)
+	ref, err := smp.scorer(smp.u, smp.v)
 	if err != nil {
 		s.errors.Inc()
 		return

@@ -17,8 +17,38 @@ func TestShadowNilIsOff(t *testing.T) {
 	if s.Checked() != 0 || s.WorstAbsErr() != 0 {
 		t.Error("nil shadow should report zeros")
 	}
-	if NewShadow(ShadowConfig{}) != nil {
-		t.Error("NewShadow without a Scorer should return the nil (disabled) verifier")
+	if s.Sample() {
+		t.Error("nil shadow sampled an offer")
+	}
+}
+
+// TestShadowSkipsWithoutReference: a sampled result with no reference to
+// verify against — Check with a nil scorer, or Offer on a verifier built
+// without a Scorer — is counted as skipped, never queued, and the four
+// outcome counters still sum to the sampled offers.
+func TestShadowSkipsWithoutReference(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := NewShadow(ShadowConfig{Rate: 2, Metrics: reg})
+	ref := func(u, v hin.NodeID) (float64, error) { return 0.5, nil }
+	for i := 0; i < 8; i++ {
+		if s.Sample() {
+			var scorer func(u, v hin.NodeID) (float64, error)
+			if i%4 == 1 {
+				scorer = ref
+			}
+			s.Check(hin.NodeID(i), 0, 0.5, scorer)
+		}
+	}
+	s.Offer(0, 1, 0.5)
+	s.Offer(0, 1, 0.5) // sampled, and skipped: no configured Scorer
+	s.Close()
+	c := reg.Snapshot().Counters
+	checked, skipped := c["semsim_shadow_checked_total"], c["semsim_shadow_skipped_total"]
+	if checked != 2 || skipped != 3 {
+		t.Errorf("checked %d, skipped %d; want 2 and 3", checked, skipped)
+	}
+	if sum := checked + skipped + c["semsim_shadow_dropped_total"] + c["semsim_shadow_errors_total"]; sum != 5 {
+		t.Errorf("outcome counters sum to %d, want the 5 sampled offers", sum)
 	}
 }
 

@@ -133,7 +133,9 @@ func (m *Mutator) fail(err error) {
 // rebuilding the index from scratch on the mutated graph (identical up
 // to Monte-Carlo resampling noise on the repaired walks). Queries racing with Commit never block and never
 // see a torn state: they run to completion on whichever epoch they
-// loaded first.
+// loaded first. With shadow verification on, Commit returns once the
+// new epoch is published; its shadow reference is built in the
+// background (see IndexOptions.ShadowRate).
 //
 // Commits serialize on the index; a Mutator created before another
 // batch committed fails with ErrStaleMutator. An empty batch is a
@@ -257,7 +259,8 @@ func (m *Mutator) Commit() (CommitStats, error) {
 	}
 
 	snap := &snapshot{epoch: epoch, g: newG, sem: sem, walks: newWalks,
-		est: est, srmc: srmc, cache: cache, kernel: kern}
+		est: est, srmc: srmc, cache: cache, kernel: kern,
+		refReady: make(chan struct{})}
 	if cur.meet != nil {
 		repairLat := ix.metrics.Histogram("semsim_commit_meet_repair_seconds",
 			"wall time of the meet-index rebuild inside Commit", nil)
@@ -273,7 +276,7 @@ func (m *Mutator) Commit() (CommitStats, error) {
 	}
 
 	ix.baseSem = newBase
-	ix.snap.Store(snap)
+	ix.publish(snap)
 	if cur.walks.Lazy() {
 		// The superseded epoch's walk index holds a reference on the
 		// shared walk file; park it so Index.Close can release the chain.

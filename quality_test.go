@@ -1,8 +1,10 @@
 package semsim
 
 import (
+	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -80,9 +82,11 @@ func TestExplainQueryEvidence(t *testing.T) {
 	}
 }
 
-// TestShadowEndToEnd: with ShadowRate 1 every query is re-verified on
-// the exact backend; on a graph this small the estimate errors stay
-// inside the theta envelope, so no critical drift fires.
+// TestShadowEndToEnd: with ShadowRate 1 every query is offered for
+// verification on the linear reference; on a graph this small the
+// estimate errors stay inside the theta envelope, so no critical drift
+// fires. Queries answered before the reference is ready are skipped, so
+// every offer lands in exactly one of checked, dropped and skipped.
 func TestShadowEndToEnd(t *testing.T) {
 	g, tax := buildSample(t)
 	lin := NewLin(tax)
@@ -96,23 +100,29 @@ func TestShadowEndToEnd(t *testing.T) {
 	}
 	n := g.NumNodes()
 	queries := 0
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			idx.Query(NodeID(u), NodeID(v))
-			queries++
+	queryAll := func() {
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				idx.Query(NodeID(u), NodeID(v))
+				queries++
+			}
 		}
 	}
+	queryAll() // races the background reference build
+	waitShadowRef(t, idx)
+	queryAll()
 	idx.Close() // drains the verification queue
 	idx.Close() // second Close is a documented no-op
 
 	snap := reg.Snapshot()
 	checked := snap.Counters["semsim_shadow_checked_total"]
 	dropped := snap.Counters["semsim_shadow_dropped_total"]
+	skipped := snap.Counters["semsim_shadow_skipped_total"]
 	if checked == 0 {
 		t.Fatal("shadow verifier checked nothing at rate 1")
 	}
-	if checked+dropped != int64(queries) {
-		t.Errorf("checked %d + dropped %d != %d queries offered", checked, dropped, queries)
+	if checked+dropped+skipped != int64(queries) {
+		t.Errorf("checked %d + dropped %d + skipped %d != %d queries offered", checked, dropped, skipped, queries)
 	}
 	if errs := snap.Counters["semsim_shadow_errors_total"]; errs != 0 {
 		t.Errorf("shadow reference errored %d times", errs)
@@ -120,8 +130,7 @@ func TestShadowEndToEnd(t *testing.T) {
 	if h := snap.Histograms["semsim_shadow_abs_err"]; h.Count != checked {
 		t.Errorf("abs_err observations %d != checked %d", h.Count, checked)
 	}
-	// The shadow build either reused the backend or timed a reference
-	// build; either way the worst observed error is a real number <= 1.
+	// The worst observed error is a real number <= 1.
 	if w := snap.Gauges["semsim_shadow_worst_abs_err"]; w < 0 || w > 1 {
 		t.Errorf("worst abs err gauge = %v", w)
 	}
@@ -156,6 +165,7 @@ func TestShadowBackendSelection(t *testing.T) {
 		t.Fatalf("BuildIndex(mc): %v", err)
 	}
 	defer idx2.Close()
+	waitShadowRef(t, idx2)
 	if h := reg2.Snapshot().Histograms["semsim_build_shadow_backend_seconds"]; h.Count != 1 {
 		t.Errorf("mc index recorded %d shadow reference builds, want 1", h.Count)
 	}
@@ -166,7 +176,14 @@ func TestShadowBackendSelection(t *testing.T) {
 // named kind over the same graph and measure.
 func assertShadowRef(t *testing.T, idx *Index, name string, opts IndexOptions) {
 	t.Helper()
-	s := idx.snap.Load()
+	assertEpochRef(t, waitShadowRef(t, idx), name, opts)
+}
+
+// assertEpochRef checks one epoch's ready shadow reference against a
+// freshly built backend over that epoch's graph and measure.
+func assertEpochRef(t *testing.T, s *snapshot, name string, opts IndexOptions) {
+	t.Helper()
+	ref := s.ref.Load()
 	want, err := engine.New(name, engine.Config{
 		Graph: s.g, Sem: s.sem, C: opts.C, Theta: opts.Theta,
 		MaxLinearNodes: opts.MaxLinearNodes,
@@ -177,9 +194,9 @@ func assertShadowRef(t *testing.T, idx *Index, name string, opts IndexOptions) {
 	n := s.g.NumNodes()
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
-			got, err := s.refScore(NodeID(u), NodeID(v))
+			got, err := ref.score(NodeID(u), NodeID(v))
 			if err != nil {
-				t.Fatalf("refScore(%d,%d): %v", u, v, err)
+				t.Fatalf("reference score(%d,%d): %v", u, v, err)
 			}
 			if w, _ := want.Query(NodeID(u), NodeID(v)); got != w {
 				t.Fatalf("shadow reference scores (%d,%d) = %v, a %s backend %v", u, v, got, name, w)
@@ -188,9 +205,20 @@ func assertShadowRef(t *testing.T, idx *Index, name string, opts IndexOptions) {
 	}
 }
 
+// waitShadowRef waits for the current epoch's shadow reference and
+// returns that epoch.
+func waitShadowRef(t *testing.T, idx *Index) *snapshot {
+	t.Helper()
+	s := idx.snap.Load()
+	if !WaitShadowReference(idx, time.Minute) {
+		t.Fatalf("epoch %d's shadow reference not ready after a minute", s.epoch)
+	}
+	return s
+}
+
 // TestShadowDefaultsToLinear: an mc index with ShadowRate builds exactly
 // one reference, the linear backend, and publishes its SO cache's dense
-// table for it, timed as the cache warm.
+// table for it before the epoch, timed as the cache warm.
 func TestShadowDefaultsToLinear(t *testing.T) {
 	g, tax := buildSample(t)
 	reg := NewMetrics()
@@ -203,6 +231,10 @@ func TestShadowDefaultsToLinear(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idx.Close()
+	if !idx.snap.Load().cache.Dense() {
+		t.Error("epoch published before its SO cache went dense for a linear shadow reference")
+	}
+	waitShadowRef(t, idx)
 	h := reg.Snapshot().Histograms
 	if c := h["semsim_build_shadow_backend_seconds"].Count; c != 1 {
 		t.Errorf("%d shadow reference builds, want 1", c)
@@ -210,16 +242,15 @@ func TestShadowDefaultsToLinear(t *testing.T) {
 	if c := h["semsim_build_cache_warm_seconds"].Count; c != 1 {
 		t.Errorf("%d SO cache warms, want 1", c)
 	}
-	if !idx.snap.Load().cache.Dense() {
-		t.Error("SO cache stayed lazy under a linear shadow reference")
-	}
 	assertShadowRef(t, idx, "linear", opts)
 }
 
-// TestShadowAboveLinearCapPicksReduced: above the linear node cap the
-// default reference is the reduced backend, and the SO cache is left
-// lazy (no reference reads the dense table).
-func TestShadowAboveLinearCapPicksReduced(t *testing.T) {
+// TestShadowAboveLinearCap: above the linear node cap an empty
+// ShadowBackend builds no reference — no build, no SO cache warm — and
+// every sample is skipped, while an explicitly named "reduced" reference
+// is still built, and the SO cache stays lazy for it (no reference reads
+// the dense table).
+func TestShadowAboveLinearCap(t *testing.T) {
 	g, tax := buildSample(t)
 	reg := NewMetrics()
 	opts := IndexOptions{
@@ -230,7 +261,44 @@ func TestShadowAboveLinearCapPicksReduced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const queries = 10
+	for i := 0; i < queries; i++ {
+		idx.Query(0, NodeID(i%g.NumNodes()))
+	}
+	m := idx.NewMutator()
+	a, _ := g.NodeByName("a")
+	f, _ := g.NodeByName("f")
+	m.AddEdge(a, f, "co-author", 1)
+	if _, err := m.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	idx.Query(a, f)
+	idx.Close() // stops the builder: nothing it could still publish
+	snap := reg.Snapshot()
+	if c := snap.Histograms["semsim_build_shadow_backend_seconds"].Count; c != 0 {
+		t.Errorf("%d shadow reference builds, want none", c)
+	}
+	if c := snap.Histograms["semsim_build_cache_warm_seconds"].Count; c != 0 {
+		t.Errorf("%d SO cache warms, want none", c)
+	}
+	if idx.snap.Load().cache.Dense() {
+		t.Error("SO cache went dense with no shadow reference")
+	}
+	if c := snap.Counters["semsim_shadow_skipped_total"]; c != queries+1 {
+		t.Errorf("%d samples skipped, want all %d", c, queries+1)
+	}
+	if c := snap.Counters["semsim_shadow_checked_total"]; c != 0 {
+		t.Errorf("%d samples checked with no reference", c)
+	}
+
+	reg = NewMetrics()
+	opts.Metrics, opts.ShadowBackend = reg, "reduced"
+	idx, err = BuildIndex(g, NewLin(tax), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer idx.Close()
+	assertShadowRef(t, idx, "reduced", opts)
 	h := reg.Snapshot().Histograms
 	if c := h["semsim_build_shadow_backend_seconds"].Count; c != 1 {
 		t.Errorf("%d shadow reference builds, want 1", c)
@@ -241,7 +309,218 @@ func TestShadowAboveLinearCapPicksReduced(t *testing.T) {
 	if idx.snap.Load().cache.Dense() {
 		t.Error("SO cache went dense for a reduced shadow reference")
 	}
-	assertShadowRef(t, idx, "reduced", opts)
+}
+
+// swapRefBuilder replaces idx's reference builder, once epoch 0's
+// reference is ready, with one running build instead of the real
+// constructor.
+func swapRefBuilder(t *testing.T, idx *Index, build func(ctx context.Context, snap *snapshot, name string) (engine.Backend, error)) {
+	t.Helper()
+	waitShadowRef(t, idx)
+	idx.refs.close()
+	idx.refs = newRefBuilder(idx.metrics, build)
+}
+
+// toggleEdge commits one edge edit between the sample graph's a and f.
+func toggleEdge(t *testing.T, idx *Index, i int) {
+	t.Helper()
+	g := idx.Graph()
+	a, _ := g.NodeByName("a")
+	f, _ := g.NodeByName("f")
+	m := idx.NewMutator()
+	if i%2 == 0 {
+		m.AddEdge(a, f, "co-author", 1)
+	} else {
+		m.RemoveEdge(a, f, "co-author")
+	}
+	if _, err := m.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShadowSkipsUntilReference: a commit returns with its epoch
+// published while the epoch's reference is still building. Samples
+// offered in that window are skipped and never verified; once the
+// reference is ready every sample is verified against it.
+func TestShadowSkipsUntilReference(t *testing.T) {
+	g, tax := buildSample(t)
+	reg := NewMetrics()
+	idx, err := BuildIndex(g, NewLin(tax), IndexOptions{
+		NumWalks: 50, WalkLength: 8, Theta: 0.05, SLINGCutoff: 0.1, Seed: 6,
+		Metrics: reg, ShadowRate: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	started := make(chan uint64, 1)
+	release := make(chan struct{})
+	swapRefBuilder(t, idx, func(ctx context.Context, snap *snapshot, name string) (engine.Backend, error) {
+		started <- snap.epoch
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return idx.buildRef(ctx, snap, name)
+	})
+	toggleEdge(t, idx, 0)
+	if e := <-started; e != 1 {
+		t.Fatalf("builder started epoch %d, want 1", e)
+	}
+	n := g.NumNodes()
+	queryAll := func() {
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				idx.Query(NodeID(u), NodeID(v))
+			}
+		}
+	}
+	queryAll()
+	close(release)
+	waitShadowRef(t, idx)
+	queryAll()
+	idx.Close()
+
+	c := reg.Snapshot().Counters
+	// n*n is below the default 256-sample queue, so nothing is dropped.
+	if got := c["semsim_shadow_skipped_total"]; got != int64(n*n) {
+		t.Errorf("skipped %d samples offered before the reference, want %d", got, n*n)
+	}
+	if got := c["semsim_shadow_checked_total"]; got != int64(n*n) {
+		t.Errorf("checked %d samples offered after the reference, want %d", got, n*n)
+	}
+	if got := c["semsim_shadow_dropped_total"] + c["semsim_shadow_errors_total"]; got != 0 {
+		t.Errorf("%d samples dropped or errored", got)
+	}
+}
+
+// TestShadowNewestEpochWins: a burst of commits racing queries builds at
+// most one reference per epoch; every epoch superseded while its build
+// was in flight is cancelled and never gets a reference, and the newest
+// epoch's reference becomes ready and scores like a fresh linear
+// backend over its graph.
+func TestShadowNewestEpochWins(t *testing.T) {
+	g, tax := buildSample(t)
+	reg := NewMetrics()
+	opts := IndexOptions{
+		NumWalks: 50, WalkLength: 8, C: 0.6, Theta: 0.05, SLINGCutoff: 0.1, Seed: 7,
+		Metrics: reg, ShadowRate: 1,
+	}
+	idx, err := BuildIndex(g, NewLin(tax), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	const commits = 12
+	var mu sync.Mutex
+	builds := map[uint64]int{}
+	epochs := map[uint64]*snapshot{}
+	swapRefBuilder(t, idx, func(ctx context.Context, snap *snapshot, name string) (engine.Backend, error) {
+		mu.Lock()
+		builds[snap.epoch]++
+		epochs[snap.epoch] = snap
+		mu.Unlock()
+		if snap.epoch < commits {
+			// Hold every build but the last until a newer epoch
+			// cancels it.
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return idx.buildRef(ctx, snap, name)
+	})
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	n := g.NumNodes()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				idx.Query(NodeID(i%n), NodeID(i*7%n))
+			}
+		}(w)
+	}
+	for i := 0; i < commits; i++ {
+		toggleEdge(t, idx, i)
+	}
+	final := waitShadowRef(t, idx)
+	close(stop)
+	wg.Wait()
+
+	if final.epoch != commits {
+		t.Fatalf("current epoch %d, want %d", final.epoch, commits)
+	}
+	assertShadowRef(t, idx, "linear", opts)
+	mu.Lock()
+	defer mu.Unlock()
+	for e, c := range builds {
+		if c > 1 {
+			t.Errorf("epoch %d's reference was built %d times", e, c)
+		}
+		if s := epochs[e]; e < commits && s.ref.Load() != nil {
+			t.Errorf("superseded epoch %d got a reference", e)
+		}
+	}
+	if builds[commits] != 1 {
+		t.Errorf("newest epoch built %d times, want 1", builds[commits])
+	}
+	// Epoch 0's build plus the newest epoch's: cancelled builds are not
+	// timed.
+	if c := reg.Snapshot().Histograms["semsim_build_shadow_backend_seconds"].Count; c != 2 {
+		t.Errorf("%d completed reference builds, want 2", c)
+	}
+}
+
+// TestShadowCloseStopsInFlightBuild: Close cancels a reference build in
+// flight and returns only after the builder goroutine has exited.
+func TestShadowCloseStopsInFlightBuild(t *testing.T) {
+	g, tax := buildSample(t)
+	idx, err := BuildIndex(g, NewLin(tax), IndexOptions{
+		NumWalks: 50, WalkLength: 8, Theta: 0.05, SLINGCutoff: 0.1, Seed: 8,
+		ShadowRate: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{})
+	cancelled := make(chan error, 1)
+	swapRefBuilder(t, idx, func(ctx context.Context, snap *snapshot, name string) (engine.Backend, error) {
+		close(started)
+		<-ctx.Done()
+		cancelled <- ctx.Err()
+		return nil, ctx.Err()
+	})
+	b := idx.refs
+	toggleEdge(t, idx, 0)
+	<-started
+	closed := make(chan struct{})
+	go func() {
+		idx.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Minute):
+		t.Fatal("Close did not return with a reference build in flight")
+	}
+	select {
+	case <-b.done:
+	default:
+		t.Error("Close returned before the builder goroutine exited")
+	}
+	if err := <-cancelled; !errors.Is(err, context.Canceled) {
+		t.Errorf("in-flight build saw %v, want context.Canceled", err)
+	}
+	if idx.snap.Load().ref.Load() != nil {
+		t.Error("the cancelled build published a reference")
+	}
 }
 
 // TestShadowOnOffBitIdentical: shadowing only observes. Query, TopK and

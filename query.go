@@ -1,9 +1,11 @@
 package semsim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -151,14 +153,23 @@ type IndexOptions struct {
 	// when full) and the absolute error is exported through Metrics as
 	// semsim_shadow_abs_err / semsim_shadow_drift_total{severity=...} /
 	// semsim_shadow_worst_abs_err. Query results are untouched — the
-	// verifier observes scores after they are returned. The reference
-	// backend is built at BuildIndex time and rebuilt by every commit.
+	// verifier observes scores after they are returned.
+	//
+	// Each epoch's reference is built in the background after the epoch
+	// is published, so neither BuildIndex nor Commit waits for its
+	// solve. One build runs at a time: a commit stops an older epoch's
+	// in-flight build at its next sweep and the newest epoch's build
+	// takes its place, so superseded epochs never get a reference. A
+	// sample whose epoch has no reference (yet) is counted in
+	// semsim_shadow_skipped_total instead of being verified.
+	//
 	// A "linear" reference first publishes the SLING cache's dense SO
-	// table (when SLINGCutoff > 0 and the table fits its 64 MiB budget),
-	// timed as the cache warm: the solve reads its normalization from
-	// the table, and mc queries then read every SO probe from it too,
-	// with bit-identical values. Call Index.Close to stop the worker.
-	// The conventional production rate is 256 (one query in 256).
+	// table (when SLINGCutoff > 0 and the table fits its 64 MiB budget)
+	// before the epoch itself, timed as the cache warm: the solve reads
+	// its normalization from the table, and mc queries then read every
+	// SO probe from it too, with bit-identical values. Call Index.Close
+	// to stop the builder and the worker. The conventional production
+	// rate is 256 (one query in 256).
 	ShadowRate int
 	// ShadowBackend names the reference backend the verifier re-scores
 	// on ("linear", "exact" or "reduced"). It must be exact-capable —
@@ -166,8 +177,9 @@ type IndexOptions struct {
 	// BuildIndex rejects one that is not. Empty reuses the index's own
 	// backend when it is exact and prunes nothing ("exact", "linear"),
 	// and otherwise picks "linear" when the graph fits its node cap
-	// (MaxLinearNodes) and "reduced" above it. A named backend that is
-	// also the index's own (and exact) is reused instead of building a
+	// (MaxLinearNodes); above the cap it builds no reference, logs why
+	// once, and every sample is skipped. A named backend that is also
+	// the index's own (and exact) is reused instead of building a
 	// second copy.
 	ShadowBackend string
 	// ShadowQueue bounds the verifier's pending-sample queue (0 uses
@@ -204,6 +216,12 @@ type Index struct {
 	snap    atomic.Pointer[snapshot]
 	metrics *Metrics
 	shadow  *quality.Shadow
+	// refs builds each published epoch's shadow reference in the
+	// background; nil when shadowing is off.
+	refs *refBuilder
+	// noRefOnce logs, once per index, why an epoch has no shadow
+	// reference.
+	noRefOnce sync.Once
 	// opts and baseSem are what commits re-assemble successors from:
 	// the original build options and the raw (pre-kernel) measure.
 	opts    IndexOptions
@@ -235,11 +253,25 @@ type snapshot struct {
 	eng     engine.Backend
 	planner *engine.Planner
 	kernel  *semantic.Kernel
-	// refScore re-scores a pair on this epoch's exact-capable reference
-	// backend (shadow verification). Built once per epoch so the hot
-	// path can hand it to the verifier without allocating; nil when
-	// shadowing is off.
-	refScore func(u, v NodeID) (float64, error)
+	// ref is this epoch's shadow reference, set once: at publish when
+	// the serving backend is its own reference, else by the Index's
+	// background builder. It stays nil with shadowing off, on an epoch
+	// without a reference, and on one a newer commit superseded before
+	// its build finished. refReady is closed when ref is set.
+	ref      atomic.Pointer[shadowRef]
+	refReady chan struct{}
+}
+
+// shadowRef is an epoch's built shadow reference. score is the
+// backend's Query bound once, so queueing a sample does not allocate.
+type shadowRef struct {
+	score func(u, v NodeID) (float64, error)
+}
+
+// setRef publishes eng as the epoch's shadow reference.
+func (snap *snapshot) setRef(eng engine.Backend) {
+	snap.ref.Store(&shadowRef{score: eng.Query})
+	close(snap.refReady)
 }
 
 // BuildIndex samples the reversed-walk index for g and wires up the
@@ -276,9 +308,16 @@ func BuildIndex(g *Graph, sem Measure, opts IndexOptions) (*Index, error) {
 
 // newIndex assembles epoch 0 around the sampled walks, wraps it in the
 // facade and attaches the shadow verifier (whose worker outlives
-// individual epochs — each sample is pinned to the scorer of the epoch
-// that produced it).
+// individual epochs — each sample is pinned to the reference of the
+// epoch that produced it) and the reference builder.
 func newIndex(g *Graph, sem Measure, walks *walk.Index, opts IndexOptions) (*Index, error) {
+	if opts.ShadowRate > 0 {
+		switch opts.ShadowBackend {
+		case "", "exact", "linear", "reduced":
+		default:
+			return nil, fmt.Errorf("semsim: shadow backend %q is not exact-capable (have exact, linear, reduced); drift against a sampling reference would measure its noise, not ours", opts.ShadowBackend)
+		}
+	}
 	snap, err := assemble(g, sem, walks, opts, 0)
 	if err != nil {
 		return nil, err
@@ -296,17 +335,28 @@ func newIndex(g *Graph, sem Measure, walks *walk.Index, opts IndexOptions) (*Ind
 		}
 		idx.shadow = quality.NewShadow(quality.ShadowConfig{
 			Rate:          opts.ShadowRate,
-			Scorer:        snap.refScore,
 			WarnThreshold: warn,
 			CritThreshold: crit,
 			QueueSize:     opts.ShadowQueue,
 			Metrics:       opts.Metrics,
 		})
+		idx.refs = newRefBuilder(opts.Metrics, idx.buildRef)
 	}
-	idx.snap.Store(snap)
+	idx.publish(snap)
 	opts.Metrics.Gauge("semsim_mutator_epoch",
 		"current index epoch: 0 at build, +1 per committed mutation batch").Set(0)
 	return idx, nil
+}
+
+// publish makes snap the current epoch. What shadow verification changes
+// on the read path is readied before the swap; the reference solve is
+// handed to the background builder after it.
+func (ix *Index) publish(snap *snapshot) {
+	name := ix.prepareShadow(snap)
+	ix.snap.Store(snap)
+	if name != "" {
+		ix.refs.submit(snap, name)
+	}
 }
 
 // assemble wires the estimator stack (SLING cache, importance-sampling
@@ -350,7 +400,8 @@ func assemble(g *Graph, sem Measure, ix *walk.Index, opts IndexOptions, epoch ui
 		return nil, err
 	}
 	snap := &snapshot{epoch: epoch, g: g, sem: sem, walks: ix,
-		est: est, srmc: srmc, cache: cache, kernel: kern}
+		est: est, srmc: srmc, cache: cache, kernel: kern,
+		refReady: make(chan struct{})}
 	if opts.MeetIndex {
 		meetLat := opts.Metrics.Histogram("semsim_build_meet_index_seconds",
 			"wall time of the inverted meet-index pass", nil)
@@ -367,8 +418,7 @@ func assemble(g *Graph, sem Measure, ix *walk.Index, opts IndexOptions, epoch ui
 }
 
 // finish completes a snapshot whose estimator stack is in place:
-// planner statistics, the engine backend and (when shadowing is
-// configured) the epoch's reference scorer. Commit reuses it after
+// planner statistics and the engine backend. Commit reuses it after
 // repairing the walk/meet/cache/kernel structures incrementally.
 func (snap *snapshot) finish(opts IndexOptions) error {
 	if opts.AutoPlan {
@@ -397,9 +447,6 @@ func (snap *snapshot) finish(opts IndexOptions) error {
 		return err
 	}
 	snap.eng = eng
-	if opts.ShadowRate > 0 {
-		return snap.buildShadowRef(opts)
-	}
 	return nil
 }
 
@@ -420,55 +467,60 @@ func warmSOCache(cache *mc.SOCache, opts IndexOptions, striped bool) {
 	sp.End()
 }
 
-// buildShadowRef builds (or reuses) the exact-capable reference backend
-// this epoch's shadow samples are verified against. snap.sem is the
-// post-kernel measure, so the reference scores against bit-identical
-// semantics.
-//
-// A linear reference first has the epoch's SO cache publish its dense
-// table, once per epoch (a commit migrates it): the solve reads its
-// normalization N(u,v) from the table, and mc queries then read every
-// SO(u,v) from it too, instead of missing on the pairs the lazy cache
-// has not seen.
-func (snap *snapshot) buildShadowRef(opts IndexOptions) error {
-	ref := snap.eng
+// prepareShadow readies an unpublished snapshot for shadow verification
+// and returns the reference backend the builder still has to construct
+// for it ("" for none). A serving backend that is its own reference is
+// attached at once. A linear reference first has the epoch's SO cache
+// publish its dense table, once per epoch (a commit migrates it): the
+// solve reads its normalization N(u,v) from the table, and mc queries
+// then read every SO(u,v) from it too, instead of missing on the pairs
+// the lazy cache has not seen. snap.sem is the post-kernel measure, so
+// the reference scores against bit-identical semantics.
+func (ix *Index) prepareShadow(snap *snapshot) string {
+	if ix.refs == nil {
+		return ""
+	}
+	opts := ix.opts
 	name := opts.ShadowBackend
 	if name == "" {
-		name = defaultShadowBackend(ref, snap.g.NumNodes(), opts.MaxLinearNodes)
+		name = defaultShadowBackend(snap.eng, snap.g.NumNodes(), opts.MaxLinearNodes)
 	}
-	if ref.Name() != name || !ref.Caps().Exact {
-		if name == "linear" && snap.cache != nil && !snap.cache.Dense() {
-			warmSOCache(snap.cache, opts, false)
-		}
-		shadowLat := opts.Metrics.Histogram("semsim_build_shadow_backend_seconds",
-			"wall time of the shadow reference-backend construction", nil)
-		sp := opts.Trace.Start("shadow-backend")
-		ts := shadowLat.Start()
-		var err error
-		ref, err = engine.New(name, engine.Config{
-			Graph: snap.g, Sem: snap.sem, C: opts.C, Theta: opts.Theta,
-			Estimator: snap.est, Walks: snap.walks, Meet: snap.meet, Cache: snap.cache,
-			Workers:         opts.Workers,
-			LinearMaxSweeps: opts.LinearMaxSweeps, LinearResidual: opts.LinearResidual,
-			MaxLinearNodes: opts.MaxLinearNodes,
+	switch {
+	case name == "":
+		ix.noRefOnce.Do(func() {
+			limit := opts.MaxLinearNodes
+			if limit == 0 {
+				limit = engine.DefaultMaxLinearNodes
+			}
+			log.Printf("semsim: no shadow reference: the graph's %d nodes exceed the linear reference's %d-node cap; shadow samples are counted as skipped (ShadowBackend \"reduced\" builds one)", snap.g.NumNodes(), limit)
 		})
-		shadowLat.ObserveSince(ts)
-		sp.End()
-		if err != nil {
-			return err
-		}
+		return ""
+	case snap.eng.Name() == name && snap.eng.Caps().Exact:
+		snap.setRef(snap.eng)
+		return ""
+	case name == "linear" && snap.cache != nil && !snap.cache.Dense():
+		warmSOCache(snap.cache, opts, false)
 	}
-	if !ref.Caps().Exact {
-		return fmt.Errorf("semsim: shadow backend %q is not exact-capable; drift against a sampling reference would measure its noise, not ours", name)
-	}
-	snap.refScore = ref.Query
-	return nil
+	return name
+}
+
+// buildRef constructs the named shadow reference over snap's structures
+// (the builder's job); a cancelled ctx stops it at the next sweep.
+func (ix *Index) buildRef(ctx context.Context, snap *snapshot, name string) (engine.Backend, error) {
+	opts := ix.opts
+	return engine.NewContext(ctx, name, engine.Config{
+		Graph: snap.g, Sem: snap.sem, C: opts.C, Theta: opts.Theta,
+		Estimator: snap.est, Walks: snap.walks, Meet: snap.meet, Cache: snap.cache,
+		Workers:         opts.Workers,
+		LinearMaxSweeps: opts.LinearMaxSweeps, LinearResidual: opts.LinearResidual,
+		MaxLinearNodes: opts.MaxLinearNodes,
+	})
 }
 
 // defaultShadowBackend picks the shadow reference when
 // IndexOptions.ShadowBackend is empty: the serving backend itself when
 // it is exact and prunes nothing, else "linear" up to its node cap
-// (maxLinear, 0 for the engine default) and "reduced" above it.
+// (maxLinear, 0 for the engine default) and none ("") above it.
 func defaultShadowBackend(eng engine.Backend, n, maxLinear int) string {
 	if caps := eng.Caps(); caps.Exact && !caps.Prunes {
 		return eng.Name()
@@ -477,9 +529,111 @@ func defaultShadowBackend(eng engine.Backend, n, maxLinear int) string {
 		maxLinear = engine.DefaultMaxLinearNodes
 	}
 	if n > maxLinear {
-		return "reduced"
+		return ""
 	}
 	return "linear"
+}
+
+// refBuilder builds shadow references off the publish path, one at a
+// time and newest epoch first: submitting an epoch stops the in-flight
+// build of an older one at its next sweep, and an epoch still waiting
+// when a newer one arrives is dropped — superseded epochs never get a
+// reference.
+type refBuilder struct {
+	build   func(ctx context.Context, snap *snapshot, name string) (engine.Backend, error)
+	metrics *Metrics
+
+	// ctx is cancelled by close, which then waits for done.
+	ctx  context.Context
+	stop context.CancelFunc
+	done chan struct{}
+	// wake has room for one signal: a pending wake-up already covers
+	// every later submit, since the builder always takes the newest job.
+	wake chan struct{}
+
+	mu     sync.Mutex
+	next   refJob             // newest epoch waiting for its reference
+	cancel context.CancelFunc // stops the in-flight build
+}
+
+type refJob struct {
+	snap *snapshot
+	name string
+}
+
+// newRefBuilder starts a builder whose goroutine runs until close.
+func newRefBuilder(m *Metrics, build func(ctx context.Context, snap *snapshot, name string) (engine.Backend, error)) *refBuilder {
+	ctx, stop := context.WithCancel(context.Background())
+	b := &refBuilder{
+		build: build, metrics: m,
+		ctx: ctx, stop: stop,
+		done: make(chan struct{}),
+		wake: make(chan struct{}, 1),
+	}
+	go b.run()
+	return b
+}
+
+// submit queues a newly published epoch's reference build.
+func (b *refBuilder) submit(snap *snapshot, name string) {
+	b.mu.Lock()
+	b.next = refJob{snap: snap, name: name}
+	if b.cancel != nil {
+		b.cancel()
+	}
+	b.mu.Unlock()
+	select {
+	case b.wake <- struct{}{}:
+	default:
+	}
+}
+
+func (b *refBuilder) run() {
+	defer close(b.done)
+	for {
+		select {
+		case <-b.ctx.Done():
+			return
+		case <-b.wake:
+		}
+		b.mu.Lock()
+		job := b.next
+		b.next = refJob{}
+		ctx, cancel := context.WithCancel(b.ctx)
+		b.cancel = cancel
+		b.mu.Unlock()
+		if job.snap != nil {
+			b.runJob(ctx, job)
+		}
+		cancel()
+	}
+}
+
+// runJob builds one epoch's reference and publishes it, unless a newer
+// epoch or close cancelled the build first.
+func (b *refBuilder) runJob(ctx context.Context, job refJob) {
+	lat := b.metrics.Histogram("semsim_build_shadow_backend_seconds",
+		"wall time of one completed background shadow reference-backend build", nil)
+	t0 := lat.Start()
+	ref, err := b.build(ctx, job.snap, job.name)
+	switch {
+	case ctx.Err() != nil:
+	case err != nil:
+		log.Printf("semsim: shadow reference %q for epoch %d: %v; its samples are counted as skipped", job.name, job.snap.epoch, err)
+	default:
+		lat.ObserveSince(t0)
+		job.snap.setRef(ref)
+	}
+}
+
+// close cancels the in-flight build and returns once the builder's
+// goroutine has exited. Safe on nil.
+func (b *refBuilder) close() {
+	if b == nil {
+		return
+	}
+	b.stop()
+	<-b.done
 }
 
 // wrapKernel decides whether assemble wraps the measure in a
@@ -537,11 +691,24 @@ func (ix *Index) Query(u, v NodeID) float64 {
 	if err != nil {
 		return 0
 	}
-	// The sample carries this epoch's reference scorer, so a commit
-	// racing with the verification can't compare estimates against a
-	// different graph's truth.
-	ix.shadow.OfferWith(u, v, score, s.refScore)
+	ix.offerShadow(s, u, v, score)
 	return score
+}
+
+// offerShadow hands a served score to the shadow verifier. Only the
+// sampled 1-in-ShadowRate offer looks at the epoch's reference: it is
+// queued against that reference — so a commit racing the verification
+// cannot compare the estimate against a different graph's truth — or
+// counted as skipped while the epoch has none.
+func (ix *Index) offerShadow(s *snapshot, u, v NodeID, score float64) {
+	if !ix.shadow.Sample() {
+		return
+	}
+	var scorer func(u, v NodeID) (float64, error)
+	if ref := s.ref.Load(); ref != nil {
+		scorer = ref.score
+	}
+	ix.shadow.Check(u, v, score, scorer)
 }
 
 // QueryCost is Query additionally charging the work performed — walk
@@ -559,7 +726,7 @@ func (ix *Index) QueryCost(u, v NodeID, co *Cost) float64 {
 	if err != nil {
 		return 0
 	}
-	ix.shadow.OfferWith(u, v, score, s.refScore)
+	ix.offerShadow(s, u, v, score)
 	return score
 }
 
@@ -592,12 +759,16 @@ func (ix *Index) ExplainQuery(u, v NodeID) (*Explanation, error) {
 }
 
 // Close releases the index's background machinery: the shadow
+// reference builder (an in-flight linear or exact build stops at its
+// next sweep, and Close waits for the builder to exit), the shadow
 // verifier's worker (draining any queued verifications) and, for an
 // index opened with LazyWalks, the walk file handle shared by every
-// epoch's walk index. An index built without either has nothing to
-// release; Close is then a no-op. Close the index at most once, after
-// all in-flight queries finish.
+// epoch's walk index. An index built without any of these has nothing
+// to release. Call Close after all in-flight queries and commits
+// finish; a second Close is a no-op.
 func (ix *Index) Close() {
+	ix.refs.close()
+	ix.refs = nil
 	if ix.shadow != nil {
 		ix.shadow.Close()
 		ix.shadow = nil
