@@ -340,6 +340,7 @@ func BenchmarkCommitSmallEdit(b *testing.B) {
 func BenchmarkQuerySimRankMC(b *testing.B) {
 	e := env(b)
 	b.ReportAllocs()
+	b.ResetTimer() // the first env(b) call builds the environment
 	for i := 0; i < b.N; i++ {
 		u, v := pairAt(e, i)
 		e.sr.Query(u, v)
@@ -350,9 +351,10 @@ func BenchmarkQuerySimRankMC(b *testing.B) {
 func BenchmarkQuerySemSimMC(b *testing.B) {
 	e := env(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, v := pairAt(e, i)
-		e.est.Query(u, v)
+		e.est.QueryCost(u, v, nil)
 	}
 }
 
@@ -365,13 +367,13 @@ func BenchmarkQuerySemSimPrunedSLING(b *testing.B) {
 	e := env(b)
 	for i := 0; i < 1024; i++ {
 		u, v := pairAt(e, i)
-		e.prn.Query(u, v)
+		e.prn.QueryCost(u, v, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, v := pairAt(e, i)
-		e.prn.Query(u, v)
+		e.prn.QueryCost(u, v, nil)
 	}
 }
 
@@ -383,13 +385,13 @@ func BenchmarkQuerySemSimPrunedSLINGMetrics(b *testing.B) {
 	e := env(b)
 	for i := 0; i < 1024; i++ {
 		u, v := pairAt(e, i)
-		e.prnM.Query(u, v)
+		e.prnM.QueryCost(u, v, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, v := pairAt(e, i)
-		e.prnM.Query(u, v)
+		e.prnM.QueryCost(u, v, nil)
 	}
 }
 
@@ -435,8 +437,20 @@ func BenchmarkQueryCostOn(b *testing.B) {
 	}
 }
 
-// BenchmarkTopKCostOn is the accounting-enabled twin of the parallel
-// top-k path (worker-local accumulators merged after the join).
+// BenchmarkTopKCostOff / BenchmarkTopKCostOn are the same twins on the
+// parallel top-k path of the same estimator: accounting disabled, and
+// enabled (worker-local accumulators merged after the join).
+func BenchmarkTopKCostOff(b *testing.B) {
+	e := env(b)
+	n := e.d.Graph.NumNodes()
+	e.prn.TopKCost(0, 10, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.prn.TopKCost(hin.NodeID(i%n), 10, nil)
+	}
+}
+
 func BenchmarkTopKCostOn(b *testing.B) {
 	e := env(b)
 	n := e.d.Graph.NumNodes()
@@ -454,7 +468,7 @@ func BenchmarkQuerySemSimKernel(b *testing.B) {
 	e := env(b)
 	for i := 0; i < 1024; i++ {
 		u, v := pairAt(e, i)
-		if got, want := e.krn.Query(u, v), e.prn.Query(u, v); got != want {
+		if got, want := e.krn.QueryCost(u, v, nil), e.prn.QueryCost(u, v, nil); got != want {
 			b.Fatalf("kernel path diverged at pair %d: %v != %v", i, got, want)
 		}
 	}
@@ -462,7 +476,7 @@ func BenchmarkQuerySemSimKernel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, v := pairAt(e, i)
-		e.krn.Query(u, v)
+		e.krn.QueryCost(u, v, nil)
 	}
 }
 
@@ -544,7 +558,7 @@ func BenchmarkTopK10(b *testing.B) { benchTopK10(b, forcedTopK10(engine.Strategy
 // BenchmarkTopK10AutoPlan: the planner-routed top-10 with the
 // estimator's per-search instruments and the plan counters live.
 func BenchmarkTopK10Metrics(b *testing.B) {
-	benchTopK10(b, func(e *benchEnv, u hin.NodeID) ([]semsim.Scored, error) { return e.srvM.TopK(u, 10) })
+	benchTopK10(b, func(e *benchEnv, u hin.NodeID) ([]semsim.Scored, error) { return e.srvM.TopK(u, 10, nil) })
 }
 
 // --- Capacity benchmarks (v3 walk format, lazy residency) ------------
@@ -588,7 +602,7 @@ func BenchmarkQueryCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, v := pairAt(e, i)
-		est.Query(u, v)
+		est.QueryCost(u, v, nil)
 	}
 	if n := lazy.DecodeErrors(); n != 0 {
 		b.Fatalf("%d decode errors: %v", n, lazy.LastDecodeErr())
@@ -839,11 +853,11 @@ func BenchmarkTopK10SemBounded(b *testing.B) {
 // inverted meeting index.
 func BenchmarkSingleSource(b *testing.B) {
 	e := env(b)
-	e.prn.SingleSource(0, e.meet)
+	e.prn.SingleSourceCost(0, e.meet, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, _ := pairAt(e, i)
-		e.prn.SingleSource(u, e.meet)
+		e.prn.SingleSourceCost(u, e.meet, nil)
 	}
 }
 
@@ -961,7 +975,7 @@ func BenchmarkBatchQuerySharedCache(b *testing.B) {
 // of whichever of BenchmarkTopK10 (brute), BenchmarkTopK10MeetIndex
 // (collision) and BenchmarkTopK10SemBounded it picks.
 func BenchmarkTopK10AutoPlan(b *testing.B) {
-	benchTopK10(b, func(e *benchEnv, u hin.NodeID) ([]semsim.Scored, error) { return e.srv.TopK(u, 10) })
+	benchTopK10(b, func(e *benchEnv, u hin.NodeID) ([]semsim.Scored, error) { return e.srv.TopK(u, 10, nil) })
 }
 
 // BenchmarkIndexRefresh measures incremental walk maintenance after a

@@ -2,6 +2,9 @@
 # CI gate for the semsim repository. Three tiers, all required:
 #
 #   1. build + vet + full test suite        (functional correctness),
+#      plus gofmt over every tracked .go file, plus vet + test of the
+#      servebench module (its own go.mod, so the root ./... never
+#      compiles it and an API change could break only the benchmark),
 #      plus internal/obs repeated at -cpu 1,2,4 (bounded traces and
 #      concurrent renders must hold at every CPU count),
 #      plus the observability smoke test: starts the semsim serve
@@ -46,6 +49,16 @@ go vet ./...
 
 echo "==> tier 1: tests"
 go test ./...
+
+echo "==> tier 1: gofmt (tracked .go files)"
+unformatted=$(git ls-files '*.go' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "$unformatted"
+    echo "ci: gofmt -l lists the files above"; exit 1
+fi
+
+echo "==> tier 1: servebench module (vet + tests against this tree)"
+(cd servebench && go vet ./... && go test ./...)
 
 echo "==> tier 1: obs at every CPU count (span cap, concurrent renders)"
 go test -count=3 -cpu 1,2,4 ./internal/obs/...

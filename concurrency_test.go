@@ -125,7 +125,7 @@ func TestIndexConcurrentStress(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := idx.CacheStats(); hits == 0 {
+	if idx.CacheSummary().Hits == 0 {
 		t.Error("SLING cache recorded no hits under the concurrent storm")
 	}
 }

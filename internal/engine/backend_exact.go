@@ -6,6 +6,7 @@ import (
 
 	"semsim/internal/core"
 	"semsim/internal/hin"
+	"semsim/internal/obs"
 	"semsim/internal/rank"
 	"semsim/internal/semantic"
 	"semsim/internal/simmat"
@@ -21,25 +22,22 @@ func init() {
 // serving path.
 const DefaultMaxExactNodes = 4096
 
-// exactBackend answers queries from the converged iterative fixpoint of
-// Section 2.3 (Equation 3), computed once at construction. Scores are
-// exact for every pair; queries are O(1) matrix reads and top-k is one
-// row scan.
-type exactBackend struct {
-	g      *hin.Graph
-	sem    semantic.Measure
-	scores *simmat.Matrix
+// matrixBackend answers every query shape from a solved all-pairs score
+// matrix: queries are O(1) reads, top-k and single-source one row scan
+// each. It is the exact backend as is, and the read side the linear
+// backend embeds. planner, nil for exact, records each routing decision
+// so semsim_plan_total shows linear routing (every strategy reads the
+// same solved row).
+type matrixBackend struct {
+	name    string
+	g       *hin.Graph
+	sem     semantic.Measure
+	scores  *simmat.Matrix
+	planner *Planner
 }
 
-// semOf evaluates the semantic measure for an Explanation (sem(u,u)=1
-// by definition without a measure probe).
-func (b *exactBackend) semOf(u, v hin.NodeID) float64 {
-	if u == v {
-		return 1
-	}
-	return b.sem.Sim(u, v)
-}
-
+// newExactBackend solves the iterative fixpoint of Section 2.3
+// (Equation 3) once at construction. Scores are exact for every pair.
 func newExactBackend(ctx context.Context, cfg Config) (Backend, error) {
 	limit := cfg.MaxExactNodes
 	if limit == 0 {
@@ -55,29 +53,31 @@ func newExactBackend(ctx context.Context, cfg Config) (Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &exactBackend{g: cfg.Graph, sem: cfg.Sem, scores: res.Scores}, nil
+	return &matrixBackend{name: "exact", g: cfg.Graph, sem: cfg.Sem, scores: res.Scores}, nil
 }
 
-func (b *exactBackend) Name() string { return "exact" }
+func (b *matrixBackend) Name() string { return b.name }
 
-func (b *exactBackend) Caps() Capabilities {
+func (b *matrixBackend) Caps() Capabilities {
 	return Capabilities{HasSingleSource: true, Exact: true}
 }
 
-func (b *exactBackend) Query(u, v hin.NodeID) (float64, error) {
+func (b *matrixBackend) Query(u, v hin.NodeID, _ *obs.Cost) (float64, error) {
 	if err := CheckPair(b.g, u, v); err != nil {
 		return 0, err
 	}
 	return b.scores.At(u, v), nil
 }
 
-func (b *exactBackend) TopK(u hin.NodeID, k int) ([]rank.Scored, error) {
+func (b *matrixBackend) TopK(u hin.NodeID, k int, _ *obs.Cost) ([]rank.Scored, error) {
 	if err := CheckNode(b.g, u); err != nil {
 		return nil, err
 	}
+	if b.planner != nil {
+		b.planner.TopKStrategy(k)
+	}
 	h := rank.NewTopK(k)
-	row := b.scores.Row(u)
-	for v, s := range row {
+	for v, s := range b.scores.Row(u) {
 		if hin.NodeID(v) == u || s <= 0 {
 			continue
 		}
@@ -86,13 +86,15 @@ func (b *exactBackend) TopK(u hin.NodeID, k int) ([]rank.Scored, error) {
 	return h.Sorted(), nil
 }
 
-func (b *exactBackend) SingleSource(u hin.NodeID) ([]rank.Scored, error) {
+func (b *matrixBackend) SingleSource(u hin.NodeID) ([]rank.Scored, error) {
 	if err := CheckNode(b.g, u); err != nil {
 		return nil, err
 	}
-	row := b.scores.Row(u)
+	if b.planner != nil {
+		b.planner.SingleSourceStrategy()
+	}
 	out := make([]rank.Scored, 0)
-	for v, s := range row {
+	for v, s := range b.scores.Row(u) {
 		if hin.NodeID(v) == u || s <= 0 {
 			continue
 		}
@@ -101,7 +103,7 @@ func (b *exactBackend) SingleSource(u hin.NodeID) ([]rank.Scored, error) {
 	return out, nil
 }
 
-func (b *exactBackend) QueryBatch(pairs [][2]hin.NodeID, workers int) ([]float64, error) {
+func (b *matrixBackend) QueryBatch(pairs [][2]hin.NodeID, workers int) ([]float64, error) {
 	if err := CheckPairs(b.g, pairs); err != nil {
 		return nil, err
 	}
@@ -113,7 +115,7 @@ func (b *exactBackend) QueryBatch(pairs [][2]hin.NodeID, workers int) ([]float64
 	return out, nil
 }
 
-func (b *exactBackend) MemoryBytes() int64 {
+func (b *matrixBackend) MemoryBytes() int64 {
 	n := int64(b.scores.N())
 	return n * n * 8
 }

@@ -7,8 +7,6 @@ import (
 
 	"semsim/internal/hin"
 	"semsim/internal/pairgraph"
-	"semsim/internal/rank"
-	"semsim/internal/semantic"
 	"semsim/internal/simmat"
 )
 
@@ -48,7 +46,11 @@ const DefaultLinearResidual = 1e-9
 // consistent with the unconstrained system. Construction estimates D
 // and solves for S simultaneously with in-place row-factored sweeps
 // (linearSweep) under a residual-based stop criterion; queries are then
-// O(1) matrix reads, top-k and single-source one row scan each.
+// answered by the embedded matrixBackend, the exact backend's reads. It
+// reports itself exact like the exact backend: the solve runs to a 1e-9
+// residual by default, so returned scores match the fixpoint far inside
+// any tolerance a caller can observe (Sweeps/Residual expose the actual
+// convergence achieved).
 //
 // N(u,v) is the SARW normalization SO(u,v) the SLING cache stores, so
 // when the epoch's SO cache has published its dense table (Config.Cache
@@ -64,20 +66,10 @@ const DefaultLinearResidual = 1e-9
 // harness asserts the two backends agree within 1e-6 on every graph it
 // generates.
 type linearBackend struct {
-	g        *hin.Graph
-	sem      semantic.Measure
-	scores   *simmat.Matrix
+	matrixBackend
 	diag     []float64 // D, the estimated diagonal correction
 	sweeps   int       // sweeps actually run
 	residual float64   // max |delta| of the final sweep
-	planner  *Planner
-}
-
-func (b *linearBackend) semOf(u, v hin.NodeID) float64 {
-	if u == v {
-		return 1
-	}
-	return b.sem.Sim(u, v)
 }
 
 func newLinearBackend(ctx context.Context, cfg Config) (Backend, error) {
@@ -146,8 +138,10 @@ func newLinearBackend(ctx context.Context, cfg Config) (Backend, error) {
 		residual = linearSweep(g, kappa, S, D, x)
 	}
 	return &linearBackend{
-		g: g, sem: sem, scores: S, diag: D,
-		sweeps: sweeps, residual: residual, planner: cfg.Planner,
+		matrixBackend: matrixBackend{name: "linear", g: g, sem: sem, scores: S, planner: cfg.Planner},
+		diag:          D,
+		sweeps:        sweeps,
+		residual:      residual,
 	}, nil
 }
 
@@ -223,16 +217,6 @@ func linearSweep(g *hin.Graph, kappa []float64, S *simmat.Matrix, D, x []float64
 	return maxDelta
 }
 
-func (b *linearBackend) Name() string { return "linear" }
-
-// Caps reports the linear backend as exact: the solve runs to a 1e-9
-// residual by default, so returned scores match the fixpoint far
-// inside any tolerance a caller can observe (Sweeps/Residual expose
-// the actual convergence achieved).
-func (b *linearBackend) Caps() Capabilities {
-	return Capabilities{HasSingleSource: true, Exact: true}
-}
-
 // Sweeps reports how many in-place sweeps the solve ran.
 func (b *linearBackend) Sweeps() int { return b.sweeps }
 
@@ -249,64 +233,7 @@ func (b *linearBackend) Diagonal() []float64 {
 	return out
 }
 
-func (b *linearBackend) Query(u, v hin.NodeID) (float64, error) {
-	if err := CheckPair(b.g, u, v); err != nil {
-		return 0, err
-	}
-	return b.scores.At(u, v), nil
-}
-
-func (b *linearBackend) TopK(u hin.NodeID, k int) ([]rank.Scored, error) {
-	if err := CheckNode(b.g, u); err != nil {
-		return nil, err
-	}
-	if b.planner != nil {
-		// Every strategy reads the same solved row; the decision is
-		// recorded so semsim_plan_total shows linear routing.
-		b.planner.TopKStrategy(k)
-	}
-	h := rank.NewTopK(k)
-	row := b.scores.Row(u)
-	for v, s := range row {
-		if hin.NodeID(v) == u || s <= 0 {
-			continue
-		}
-		h.Push(rank.Scored{Node: hin.NodeID(v), Score: s})
-	}
-	return h.Sorted(), nil
-}
-
-func (b *linearBackend) SingleSource(u hin.NodeID) ([]rank.Scored, error) {
-	if err := CheckNode(b.g, u); err != nil {
-		return nil, err
-	}
-	if b.planner != nil {
-		b.planner.SingleSourceStrategy()
-	}
-	row := b.scores.Row(u)
-	out := make([]rank.Scored, 0)
-	for v, s := range row {
-		if hin.NodeID(v) == u || s <= 0 {
-			continue
-		}
-		out = append(out, rank.Scored{Node: hin.NodeID(v), Score: s})
-	}
-	return out, nil
-}
-
-func (b *linearBackend) QueryBatch(pairs [][2]hin.NodeID, workers int) ([]float64, error) {
-	if err := CheckPairs(b.g, pairs); err != nil {
-		return nil, err
-	}
-	// Matrix reads are O(1); the workers hint is ignored.
-	out := make([]float64, len(pairs))
-	for i, p := range pairs {
-		out[i] = b.scores.At(p[0], p[1])
-	}
-	return out, nil
-}
-
+// MemoryBytes adds the diagonal correction to the score matrix.
 func (b *linearBackend) MemoryBytes() int64 {
-	n := int64(b.scores.N())
-	return n*n*8 + n*8 // score matrix + diagonal correction
+	return b.matrixBackend.MemoryBytes() + int64(len(b.diag))*8
 }

@@ -60,14 +60,16 @@ func (b *mcBackend) Caps() Capabilities {
 	return Capabilities{HasSingleSource: b.meet != nil, Exact: false}
 }
 
-func (b *mcBackend) Query(u, v hin.NodeID) (float64, error) {
+func (b *mcBackend) Query(u, v hin.NodeID, co *obs.Cost) (float64, error) {
 	if err := CheckPair(b.g, u, v); err != nil {
 		return 0, err
 	}
-	return b.est.Query(u, v), nil
+	return b.est.QueryCost(u, v, co), nil
 }
 
-func (b *mcBackend) TopK(u hin.NodeID, k int) ([]rank.Scored, error) {
+// TopK routes through the planner's strategy (or the static default)
+// and charges the scan's work to co.
+func (b *mcBackend) TopK(u hin.NodeID, k int, co *obs.Cost) ([]rank.Scored, error) {
 	if err := CheckNode(b.g, u); err != nil {
 		return nil, err
 	}
@@ -75,7 +77,7 @@ func (b *mcBackend) TopK(u hin.NodeID, k int) ([]rank.Scored, error) {
 	if b.planner != nil {
 		s = b.planner.TopKStrategy(k)
 	}
-	return b.runTopK(u, k, s), nil
+	return b.runTopK(u, k, s, co), nil
 }
 
 // TopKWithStrategy implements StrategyRunner: it forces one execution
@@ -89,7 +91,7 @@ func (b *mcBackend) TopKWithStrategy(u hin.NodeID, k int, s Strategy) ([]rank.Sc
 	if s >= numStrategies {
 		return nil, fmt.Errorf("engine: unknown strategy %d", s)
 	}
-	return b.runTopK(u, k, s), nil
+	return b.runTopK(u, k, s, nil), nil
 }
 
 // defaultStrategy reproduces the pre-engine Index.TopK routing exactly:
@@ -101,14 +103,8 @@ func (b *mcBackend) defaultStrategy() Strategy {
 	return StrategyBrute
 }
 
-func (b *mcBackend) runTopK(u hin.NodeID, k int, s Strategy) []rank.Scored {
-	return b.runTopKCost(u, k, s, nil)
-}
-
-// runTopKCost is runTopK threading a cost accumulator into whichever
-// strategy executes (nil co is exactly runTopK — the estimator's costed
-// entry points are their plain twins under a nil Cost).
-func (b *mcBackend) runTopKCost(u hin.NodeID, k int, s Strategy, co *obs.Cost) []rank.Scored {
+// runTopK executes strategy s, charging its work to co (nil for none).
+func (b *mcBackend) runTopK(u hin.NodeID, k int, s Strategy, co *obs.Cost) []rank.Scored {
 	switch s {
 	case StrategyCollision:
 		if b.meet != nil {
@@ -124,27 +120,6 @@ func (b *mcBackend) runTopKCost(u hin.NodeID, k int, s Strategy, co *obs.Cost) [
 	}
 }
 
-// QueryCost implements CostRunner: Query charging the pair's work to co.
-func (b *mcBackend) QueryCost(u, v hin.NodeID, co *obs.Cost) (float64, error) {
-	if err := CheckPair(b.g, u, v); err != nil {
-		return 0, err
-	}
-	return b.est.QueryCost(u, v, co), nil
-}
-
-// TopKCost implements CostRunner: TopK (planner-routed) charging the
-// scan's work to co.
-func (b *mcBackend) TopKCost(u hin.NodeID, k int, co *obs.Cost) ([]rank.Scored, error) {
-	if err := CheckNode(b.g, u); err != nil {
-		return nil, err
-	}
-	s := b.defaultStrategy()
-	if b.planner != nil {
-		s = b.planner.TopKStrategy(k)
-	}
-	return b.runTopKCost(u, k, s, co), nil
-}
-
 func (b *mcBackend) SingleSource(u hin.NodeID) ([]rank.Scored, error) {
 	if err := CheckNode(b.g, u); err != nil {
 		return nil, err
@@ -152,7 +127,7 @@ func (b *mcBackend) SingleSource(u hin.NodeID) ([]rank.Scored, error) {
 	if b.meet == nil {
 		return nil, ErrNoSingleSource
 	}
-	return b.est.SingleSource(u, b.meet), nil
+	return b.est.SingleSourceCost(u, b.meet, nil), nil
 }
 
 func (b *mcBackend) QueryBatch(pairs [][2]hin.NodeID, workers int) ([]float64, error) {

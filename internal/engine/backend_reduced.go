@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"semsim/internal/hin"
+	"semsim/internal/obs"
 	"semsim/internal/pairgraph"
 	"semsim/internal/rank"
 	"semsim/internal/semantic"
@@ -39,15 +40,6 @@ type reducedBackend struct {
 	red   *pairgraph.Reduced
 }
 
-// semOf evaluates the semantic measure for an Explanation (sem(u,u)=1
-// by definition without a measure probe).
-func (b *reducedBackend) semOf(u, v hin.NodeID) float64 {
-	if u == v {
-		return 1
-	}
-	return b.sem.Sim(u, v)
-}
-
 func newReducedBackend(_ context.Context, cfg Config) (Backend, error) {
 	theta := cfg.Theta
 	if theta == 0 {
@@ -80,14 +72,14 @@ func (b *reducedBackend) Caps() Capabilities {
 	return Capabilities{HasSingleSource: true, Exact: true, Prunes: b.theta > 0}
 }
 
-func (b *reducedBackend) Query(u, v hin.NodeID) (float64, error) {
+func (b *reducedBackend) Query(u, v hin.NodeID, _ *obs.Cost) (float64, error) {
 	if err := CheckPair(b.g, u, v); err != nil {
 		return 0, err
 	}
 	return b.red.Score(u, v), nil
 }
 
-func (b *reducedBackend) TopK(u hin.NodeID, k int) ([]rank.Scored, error) {
+func (b *reducedBackend) TopK(u hin.NodeID, k int, _ *obs.Cost) ([]rank.Scored, error) {
 	if err := CheckNode(b.g, u); err != nil {
 		return nil, err
 	}

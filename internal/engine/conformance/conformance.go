@@ -198,7 +198,7 @@ func checkInvariants(t *testing.T, b engine.Backend, g *hin.Graph, sem semantic.
 		symTol = 1e-12
 	}
 	for u := 0; u < n; u++ {
-		su, err := b.Query(hin.NodeID(u), hin.NodeID(u))
+		su, err := b.Query(hin.NodeID(u), hin.NodeID(u), nil)
 		if err != nil {
 			t.Fatalf("Query(%d,%d): %v", u, u, err)
 		}
@@ -206,14 +206,14 @@ func checkInvariants(t *testing.T, b engine.Backend, g *hin.Graph, sem semantic.
 			t.Errorf("self-similarity sim(%d,%d) = %v, want 1", u, u, su)
 		}
 		for v := u + 1; v < n; v++ {
-			s, err := b.Query(hin.NodeID(u), hin.NodeID(v))
+			s, err := b.Query(hin.NodeID(u), hin.NodeID(v), nil)
 			if err != nil {
 				t.Fatalf("Query(%d,%d): %v", u, v, err)
 			}
 			if s < 0 || s > 1 {
 				t.Errorf("sim(%d,%d) = %v outside [0,1]", u, v, s)
 			}
-			rev, err := b.Query(hin.NodeID(v), hin.NodeID(u))
+			rev, err := b.Query(hin.NodeID(v), hin.NodeID(u), nil)
 			if err != nil {
 				t.Fatalf("Query(%d,%d): %v", v, u, err)
 			}
@@ -237,11 +237,11 @@ func checkAgreement(t *testing.T, b, ref engine.Backend, g *hin.Graph, sem seman
 	pairs := 0
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			r, err := ref.Query(hin.NodeID(u), hin.NodeID(v))
+			r, err := ref.Query(hin.NodeID(u), hin.NodeID(v), nil)
 			if err != nil {
 				t.Fatalf("exact.Query(%d,%d): %v", u, v, err)
 			}
-			s, err := b.Query(hin.NodeID(u), hin.NodeID(v))
+			s, err := b.Query(hin.NodeID(u), hin.NodeID(v), nil)
 			if err != nil {
 				t.Fatalf("%s.Query(%d,%d): %v", b.Name(), u, v, err)
 			}
@@ -304,7 +304,7 @@ func checkShapes(t *testing.T, b engine.Backend, g *hin.Graph) {
 	n := g.NumNodes()
 	for _, u := range []hin.NodeID{0, hin.NodeID(n / 2), hin.NodeID(n - 1)} {
 		for _, k := range []int{1, 5, n + 10} {
-			top, err := b.TopK(u, k)
+			top, err := b.TopK(u, k, nil)
 			if err != nil {
 				t.Fatalf("TopK(%d,%d): %v", u, k, err)
 			}
@@ -324,7 +324,7 @@ func checkShapes(t *testing.T, b engine.Backend, g *hin.Graph) {
 						t.Errorf("TopK(%d,%d) not ordered at %d: %+v after %+v", u, k, i, sc, prev)
 					}
 				}
-				if q, _ := b.Query(u, sc.Node); q != sc.Score {
+				if q, _ := b.Query(u, sc.Node, nil); q != sc.Score {
 					t.Errorf("TopK(%d,%d)[%d] score %v != Query %v", u, k, i, sc.Score, q)
 				}
 			}
@@ -344,7 +344,7 @@ func checkShapes(t *testing.T, b engine.Backend, g *hin.Graph) {
 			if sc.Score <= 0 || sc.Node == u {
 				t.Errorf("SingleSource(%d) bad entry %+v", u, sc)
 			}
-			if q, _ := b.Query(u, sc.Node); q != sc.Score {
+			if q, _ := b.Query(u, sc.Node, nil); q != sc.Score {
 				t.Errorf("SingleSource(%d) score for %d: %v != Query %v", u, sc.Node, sc.Score, q)
 			}
 			seen[sc.Node] = sc.Score
@@ -354,7 +354,7 @@ func checkShapes(t *testing.T, b engine.Backend, g *hin.Graph) {
 			if hin.NodeID(v) == u {
 				continue
 			}
-			q, _ := b.Query(u, hin.NodeID(v))
+			q, _ := b.Query(u, hin.NodeID(v), nil)
 			if _, ok := seen[hin.NodeID(v)]; q > 0 && !ok {
 				t.Errorf("SingleSource(%d) misses node %d with score %v", u, v, q)
 			}
@@ -367,7 +367,7 @@ func checkShapes(t *testing.T, b engine.Backend, g *hin.Graph) {
 		t.Fatalf("QueryBatch: %v", err)
 	}
 	for i, p := range batch {
-		want, _ := b.Query(p[0], p[1])
+		want, _ := b.Query(p[0], p[1], nil)
 		if got[i] != want {
 			t.Errorf("QueryBatch[%d] = %v, Query = %v", i, got[i], want)
 		}
@@ -379,13 +379,13 @@ func checkShapes(t *testing.T, b engine.Backend, g *hin.Graph) {
 func checkBounds(t *testing.T, b engine.Backend, g *hin.Graph) {
 	bad := []hin.NodeID{-1, hin.NodeID(g.NumNodes()), 1 << 30}
 	for _, u := range bad {
-		if _, err := b.Query(u, 0); !errors.Is(err, engine.ErrNodeOutOfRange) {
+		if _, err := b.Query(u, 0, nil); !errors.Is(err, engine.ErrNodeOutOfRange) {
 			t.Errorf("Query(%d,0) err = %v, want ErrNodeOutOfRange", u, err)
 		}
-		if _, err := b.Query(0, u); !errors.Is(err, engine.ErrNodeOutOfRange) {
+		if _, err := b.Query(0, u, nil); !errors.Is(err, engine.ErrNodeOutOfRange) {
 			t.Errorf("Query(0,%d) err = %v, want ErrNodeOutOfRange", u, err)
 		}
-		if _, err := b.TopK(u, 3); !errors.Is(err, engine.ErrNodeOutOfRange) {
+		if _, err := b.TopK(u, 3, nil); !errors.Is(err, engine.ErrNodeOutOfRange) {
 			t.Errorf("TopK(%d) err = %v, want ErrNodeOutOfRange", u, err)
 		}
 		if _, err := b.SingleSource(u); err == nil {
@@ -398,7 +398,7 @@ func checkBounds(t *testing.T, b engine.Backend, g *hin.Graph) {
 		}
 	}
 	// Valid ids keep working after the rejections.
-	if _, err := b.Query(0, 1); err != nil {
+	if _, err := b.Query(0, 1, nil); err != nil {
 		t.Errorf("Query(0,1) after rejections: %v", err)
 	}
 }
@@ -433,8 +433,8 @@ func checkDeterminism(t *testing.T, backend string, cfg engine.Config, g *hin.Gr
 	n := g.NumNodes()
 	for u := 0; u < n; u++ {
 		for v := u; v < n; v++ {
-			s1, err1 := b1.Query(hin.NodeID(u), hin.NodeID(v))
-			s2, err2 := b2.Query(hin.NodeID(u), hin.NodeID(v))
+			s1, err1 := b1.Query(hin.NodeID(u), hin.NodeID(v), nil)
+			s2, err2 := b2.Query(hin.NodeID(u), hin.NodeID(v), nil)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("Query(%d,%d): %v / %v", u, v, err1, err2)
 			}
@@ -443,8 +443,8 @@ func checkDeterminism(t *testing.T, backend string, cfg engine.Config, g *hin.Gr
 			}
 		}
 	}
-	t1, err1 := b1.TopK(0, 10)
-	t2, err2 := b2.TopK(0, 10)
+	t1, err1 := b1.TopK(0, 10, nil)
+	t2, err2 := b2.TopK(0, 10, nil)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("TopK: %v / %v", err1, err2)
 	}

@@ -70,8 +70,8 @@ func TestLinearSolveConvergence(t *testing.T) {
 	b2 := mustNew(t, "linear", loose)
 	for u := 0; u < g.NumNodes(); u++ {
 		for v := u + 1; v < g.NumNodes(); v++ {
-			s1, _ := b.Query(hin.NodeID(u), hin.NodeID(v))
-			s2, _ := b2.Query(hin.NodeID(u), hin.NodeID(v))
+			s1, _ := b.Query(hin.NodeID(u), hin.NodeID(v), nil)
+			s2, _ := b2.Query(hin.NodeID(u), hin.NodeID(v), nil)
 			if d := math.Abs(s1 - s2); d > 1e-3 {
 				t.Errorf("loose solve drifted %v at (%d,%d)", d, u, v)
 			}

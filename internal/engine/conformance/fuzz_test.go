@@ -42,11 +42,11 @@ func fuzzAgreement(t *testing.T, seed int64, rawN, rawM uint8) {
 	pairs := 0
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			r, err := ex.Query(hin.NodeID(u), hin.NodeID(v))
+			r, err := ex.Query(hin.NodeID(u), hin.NodeID(v), nil)
 			if err != nil {
 				t.Fatalf("exact.Query(%d,%d): %v", u, v, err)
 			}
-			l, err := lin.Query(hin.NodeID(u), hin.NodeID(v))
+			l, err := lin.Query(hin.NodeID(u), hin.NodeID(v), nil)
 			if err != nil {
 				t.Fatalf("linear.Query(%d,%d): %v", u, v, err)
 			}
@@ -54,7 +54,7 @@ func fuzzAgreement(t *testing.T, seed int64, rawN, rawM uint8) {
 				t.Errorf("seed %d n=%d m=%d: linear vs exact differ at (%d,%d): %.9f vs %.9f",
 					seed, n, m, u, v, l, r)
 			}
-			e, err := mc.Query(hin.NodeID(u), hin.NodeID(v))
+			e, err := mc.Query(hin.NodeID(u), hin.NodeID(v), nil)
 			if err != nil {
 				t.Fatalf("mc.Query(%d,%d): %v", u, v, err)
 			}

@@ -119,7 +119,7 @@ func runGolden(t *testing.T, backend string, opts Options) {
 				if !okU || !okV {
 					t.Fatalf("fixture %s: node %s/%s not found", fx.name, gc.u, gc.v)
 				}
-				s, err := b.Query(u, v)
+				s, err := b.Query(u, v, nil)
 				if err != nil {
 					t.Fatalf("Query(%s,%s): %v", gc.u, gc.v, err)
 				}
@@ -127,7 +127,7 @@ func runGolden(t *testing.T, backend string, opts Options) {
 					t.Errorf("%s: sim(%s,%s) = %.9f, hand-verified %.4f (|d|=%.2e > %v)",
 						fx.name, gc.u, gc.v, s, gc.want, d, tol)
 				}
-				if su, _ := b.Query(u, u); su != 1 {
+				if su, _ := b.Query(u, u, nil); su != 1 {
 					t.Errorf("%s: sim(%s,%s) = %v, want 1", fx.name, gc.u, gc.u, su)
 				}
 			}

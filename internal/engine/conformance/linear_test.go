@@ -129,8 +129,8 @@ func TestLinearSharedSOTable(t *testing.T) {
 			}
 			for u := 0; u < n; u++ {
 				for v := 0; v < n; v++ {
-					a, _ := self.Query(hin.NodeID(u), hin.NodeID(v))
-					b, _ := shared.Query(hin.NodeID(u), hin.NodeID(v))
+					a, _ := self.Query(hin.NodeID(u), hin.NodeID(v), nil)
+					b, _ := shared.Query(hin.NodeID(u), hin.NodeID(v), nil)
 					if a != b {
 						t.Fatalf("S(%d,%d): %v computing N, %v from the table", u, v, a, b)
 					}
@@ -160,7 +160,7 @@ func TestLinearAgreesWithIterative(t *testing.T) {
 			var worst float64
 			for u := 0; u < n; u++ {
 				for v := 0; v < n; v++ {
-					s, _ := lin.Query(hin.NodeID(u), hin.NodeID(v))
+					s, _ := lin.Query(hin.NodeID(u), hin.NodeID(v), nil)
 					if d := math.Abs(s - ref.Scores.At(hin.NodeID(u), hin.NodeID(v))); d > worst {
 						worst = d
 					}

@@ -34,6 +34,7 @@ import (
 
 	"semsim/internal/hin"
 	"semsim/internal/obs"
+	"semsim/internal/obs/quality"
 	"semsim/internal/rank"
 )
 
@@ -58,19 +59,30 @@ type Capabilities struct {
 }
 
 // Backend answers the four SemSim query shapes over one prepared data
-// structure. Implementations must be safe for concurrent use and must
-// validate node IDs on every entry point: a malformed ID returns an
-// error instead of indexing internal storage unchecked.
+// structure, one method per shape. Implementations must be safe for
+// concurrent use and must validate node IDs on every entry point: a
+// malformed ID returns an error instead of indexing internal storage
+// unchecked.
+//
+// Query and TopK charge the work they perform to co (see obs.Cost); a
+// nil co turns the accounting off and leaves the answer unchanged. The
+// backends that answer from a solved structure (exact, linear, reduced)
+// do no per-query sampling work and leave co untouched.
 type Backend interface {
 	// Name is the registry name the backend was constructed under.
 	Name() string
 	// Caps reports the backend's capability flags.
 	Caps() Capabilities
 	// Query estimates sim(u,v) in [0,1].
-	Query(u, v hin.NodeID) (float64, error)
+	Query(u, v hin.NodeID, co *obs.Cost) (float64, error)
 	// TopK returns the k nodes most similar to u, descending score
 	// (ties by ascending node id), zero scores omitted.
-	TopK(u hin.NodeID, k int) ([]rank.Scored, error)
+	TopK(u hin.NodeID, k int, co *obs.Cost) ([]rank.Scored, error)
+	// Explain answers Query(u, v, nil) together with the evidence
+	// behind the score (walk samples, variance, confidence interval,
+	// pruning accounting); Explanation.Score is the score Query
+	// returns. Exact-family backends report a degenerate interval.
+	Explain(u, v hin.NodeID) (*quality.Explanation, error)
 	// SingleSource returns sim(u,v) for every v with a nonzero
 	// estimate, ascending node order. Backends without the capability
 	// return ErrNoSingleSource.
@@ -90,16 +102,6 @@ type Backend interface {
 // meet-index path), which are now thin shims forcing one strategy.
 type StrategyRunner interface {
 	TopKWithStrategy(u hin.NodeID, k int, s Strategy) ([]rank.Scored, error)
-}
-
-// CostRunner is implemented by backends that support per-query cost
-// accounting: the costed entry points behave exactly like Query/TopK
-// while charging the work performed to co (see obs.Cost). Callers
-// type-assert and fall back to the plain entry points — a backend
-// without accounting still answers, it just reports a zero Cost.
-type CostRunner interface {
-	QueryCost(u, v hin.NodeID, co *obs.Cost) (float64, error)
-	TopKCost(u hin.NodeID, k int, co *obs.Cost) ([]rank.Scored, error)
 }
 
 // ErrNoSingleSource is returned by backends that cannot enumerate

@@ -174,13 +174,13 @@ func TestBoundsValidation(t *testing.T) {
 			t.Fatalf("New(%q): %v", name, err)
 		}
 		for _, u := range bad {
-			if _, err := b.Query(u, 0); err == nil {
+			if _, err := b.Query(u, 0, nil); err == nil {
 				t.Errorf("%s.Query(%d, 0) accepted an out-of-range id", name, u)
 			}
-			if _, err := b.Query(0, u); err == nil {
+			if _, err := b.Query(0, u, nil); err == nil {
 				t.Errorf("%s.Query(0, %d) accepted an out-of-range id", name, u)
 			}
-			if _, err := b.TopK(u, 3); err == nil {
+			if _, err := b.TopK(u, 3, nil); err == nil {
 				t.Errorf("%s.TopK(%d) accepted an out-of-range id", name, u)
 			}
 			if _, err := b.SingleSource(u); err == nil {
@@ -193,7 +193,7 @@ func TestBoundsValidation(t *testing.T) {
 			}
 		}
 		// Valid IDs keep working after the rejections.
-		if _, err := b.Query(0, 1); err != nil {
+		if _, err := b.Query(0, 1, nil); err != nil {
 			t.Errorf("%s.Query(0, 1): %v", name, err)
 		}
 	}

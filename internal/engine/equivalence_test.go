@@ -60,7 +60,7 @@ func TestStrategyIdentity(t *testing.T) {
 						s, u, k, got, ref)
 				}
 			}
-			adaptive, err := pb.TopK(hin.NodeID(u), k)
+			adaptive, err := pb.TopK(hin.NodeID(u), k, nil)
 			if err != nil {
 				t.Fatalf("planned TopK: %v", err)
 			}

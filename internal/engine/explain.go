@@ -5,20 +5,12 @@ import (
 
 	"semsim/internal/hin"
 	"semsim/internal/obs/quality"
+	"semsim/internal/semantic"
 )
 
-// Explainer is implemented by backends that can answer a query together
-// with the estimate-quality evidence behind it (walk samples, variance,
-// confidence interval, pruning accounting). The facade's ExplainQuery
-// type-asserts for it and synthesizes a generic explanation for
-// backends that don't implement it.
-type Explainer interface {
-	Explain(u, v hin.NodeID) (*quality.Explanation, error)
-}
-
-// Explain on the mc backend delegates to the estimator's
-// evidence-recording query twin. Explanation.Score is bit-identical to
-// Query(u, v).
+// Explain on the mc backend delegates to the estimator, which runs its
+// one query loop with the evidence switched on: Explanation.Score is
+// the score Query returns.
 func (b *mcBackend) Explain(u, v hin.NodeID) (*quality.Explanation, error) {
 	if err := CheckPair(b.g, u, v); err != nil {
 		return nil, err
@@ -26,18 +18,30 @@ func (b *mcBackend) Explain(u, v hin.NodeID) (*quality.Explanation, error) {
 	return b.est.Explain(u, v), nil
 }
 
-// Explain on the exact backend reports the converged fixpoint score
-// with a degenerate (zero-width) interval — exact values carry no
-// sampling uncertainty.
-func (b *exactBackend) Explain(u, v hin.NodeID) (*quality.Explanation, error) {
+// Explain on a matrix backend (exact, and linear's read side) reports
+// the solved score with a degenerate (zero-width) interval — exact
+// values carry no sampling uncertainty.
+func (b *matrixBackend) Explain(u, v hin.NodeID) (*quality.Explanation, error) {
 	if err := CheckPair(b.g, u, v); err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
-	s := b.scores.At(u, v)
-	ex := exactExplanation(u, v, s, b.Name())
-	ex.Sem = b.semOf(u, v)
+	ex := exactExplanation(u, v, b.scores.At(u, v), b.name)
+	ex.Sem = semOf(b.sem, u, v)
 	ex.ElapsedSeconds = time.Since(t0).Seconds()
+	return ex, nil
+}
+
+// Explain on the linear backend adds the solve's convergence evidence
+// to the matrix read: how many Gauss-Seidel sweeps ran and the residual
+// they ended on.
+func (b *linearBackend) Explain(u, v hin.NodeID) (*quality.Explanation, error) {
+	ex, err := b.matrixBackend.Explain(u, v)
+	if err != nil {
+		return nil, err
+	}
+	ex.SolveSweeps = b.sweeps
+	ex.SolveResidual = b.residual
 	return ex, nil
 }
 
@@ -52,7 +56,7 @@ func (b *reducedBackend) Explain(u, v hin.NodeID) (*quality.Explanation, error) 
 	t0 := time.Now()
 	s := b.red.Score(u, v)
 	ex := exactExplanation(u, v, s, b.Name())
-	ex.Sem = b.semOf(u, v)
+	ex.Sem = semOf(b.sem, u, v)
 	ex.Theta = b.theta
 	if s == 0 && u != v {
 		// A zero from the reduced backend cannot distinguish "truly
@@ -69,21 +73,13 @@ func (b *reducedBackend) Explain(u, v hin.NodeID) (*quality.Explanation, error) 
 	return ex, nil
 }
 
-// Explain on the linear backend reports the linearized-solve score
-// with a degenerate interval plus the solve's convergence evidence:
-// how many Gauss-Seidel sweeps ran and the residual they ended on.
-func (b *linearBackend) Explain(u, v hin.NodeID) (*quality.Explanation, error) {
-	if err := CheckPair(b.g, u, v); err != nil {
-		return nil, err
+// semOf evaluates the semantic measure for an Explanation (sem(u,u)=1
+// by definition without a measure probe).
+func semOf(sem semantic.Measure, u, v hin.NodeID) float64 {
+	if u == v {
+		return 1
 	}
-	t0 := time.Now()
-	s := b.scores.At(u, v)
-	ex := exactExplanation(u, v, s, b.Name())
-	ex.Sem = b.semOf(u, v)
-	ex.SolveSweeps = b.sweeps
-	ex.SolveResidual = b.residual
-	ex.ElapsedSeconds = time.Since(t0).Seconds()
-	return ex, nil
+	return sem.Sim(u, v)
 }
 
 // exactExplanation is the shared degenerate-interval record of the

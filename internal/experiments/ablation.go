@@ -177,7 +177,7 @@ func Ablation(cfg AblationConfig) (*AblationResult, error) {
 	baseScores := make([]float64, cfg.QueryPairs)
 	for i := range pairs {
 		pairs[i] = [2]hin.NodeID{hin.NodeID(rng.Intn(n)), hin.NodeID(rng.Intn(n))}
-		baseScores[i] = base.Query(pairs[i][0], pairs[i][1])
+		baseScores[i] = base.QueryCost(pairs[i][0], pairs[i][1], nil)
 	}
 	for _, theta := range cfg.Thetas {
 		est, err := mc.New(ix, az.Lin, mc.Options{C: cfg.C, Theta: theta,
@@ -189,7 +189,7 @@ func Ablation(cfg AblationConfig) (*AblationResult, error) {
 		start := time.Now()
 		zeroed := 0
 		for i, p := range pairs {
-			s := est.Query(p[0], p[1])
+			s := est.QueryCost(p[0], p[1], nil)
 			d := math.Abs(s - baseScores[i])
 			row.MeanAbs += d
 			if d > row.MaxAbs {
@@ -255,9 +255,9 @@ func ablateTopK(items int, cfg AblationConfig) (AblationTopKRow, error) {
 		return t
 	}
 	var cb, cs, cm float64
-	row.Brute, cb = timeIt(func(u hin.NodeID) float64 { return sum(est.TopK(u, 10)) })
-	row.SemBounded, cs = timeIt(func(u hin.NodeID) float64 { return sum(est.TopKSemBounded(u, 10)) })
-	row.MeetIndex, cm = timeIt(func(u hin.NodeID) float64 { return sum(est.TopKWithIndex(u, 10, meet)) })
+	row.Brute, cb = timeIt(func(u hin.NodeID) float64 { return sum(est.TopKCost(u, 10, nil)) })
+	row.SemBounded, cs = timeIt(func(u hin.NodeID) float64 { return sum(est.TopKSemBoundedCost(u, 10, nil)) })
+	row.MeetIndex, cm = timeIt(func(u hin.NodeID) float64 { return sum(est.TopKWithIndexCost(u, 10, meet, nil)) })
 	if math.Abs(cb-cs) > 1e-9 || math.Abs(cb-cm) > 1e-9 {
 		return AblationTopKRow{}, fmt.Errorf("experiments: top-k strategies disagree: %v %v %v", cb, cs, cm)
 	}

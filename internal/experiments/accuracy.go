@@ -132,8 +132,8 @@ func Accuracy(cfg AccuracyConfig) (*AccuracyResult, error) {
 				return nil, err
 			}
 			for i, p := range pairs {
-				estimates["SemSim+prune"][i] = append(estimates["SemSim+prune"][i], pruned.Query(p[0], p[1]))
-				estimates["SemSim"][i] = append(estimates["SemSim"][i], plain.Query(p[0], p[1]))
+				estimates["SemSim+prune"][i] = append(estimates["SemSim+prune"][i], pruned.QueryCost(p[0], p[1], nil))
+				estimates["SemSim"][i] = append(estimates["SemSim"][i], plain.QueryCost(p[0], p[1], nil))
 				estimates["SimRank"][i] = append(estimates["SimRank"][i], srmc.Query(p[0], p[1]))
 			}
 		}

@@ -127,10 +127,13 @@ func QueryTimes(cfg QueryTimesConfig) (*QueryTimesResult, error) {
 			}
 			row.PerQuery[name] = time.Since(start) / time.Duration(len(pairs))
 		}
+		semsim := func(e *mc.Estimator) func(u, v hin.NodeID) float64 {
+			return func(u, v hin.NodeID) float64 { return e.QueryCost(u, v, nil) }
+		}
 		time1("SimRank-MC", srmc.Query)
-		time1("SemSim-MC", plain.Query)
-		time1("SemSim-MC+prune", pruned.Query)
-		time1("SemSim-MC+prune+SLING", sling.Query)
+		time1("SemSim-MC", semsim(plain))
+		time1("SemSim-MC+prune", semsim(pruned))
+		time1("SemSim-MC+prune+SLING", semsim(sling))
 		if capture {
 			res.SLINGMemoryBytes = cache.MemoryBytes()
 			res.SLINGEntries = cache.Len()

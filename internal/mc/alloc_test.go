@@ -66,11 +66,11 @@ func TestQueryZeroAllocsWarm(t *testing.T) {
 		// recomputed per probe but still without allocating).
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
-				e.Query(hin.NodeID(u), hin.NodeID(v))
+				e.QueryCost(hin.NodeID(u), hin.NodeID(v), nil)
 			}
 		}
 		u, v := hin.NodeID(1), hin.NodeID(2)
-		if a := testing.AllocsPerRun(200, func() { e.Query(u, v) }); a != 0 {
+		if a := testing.AllocsPerRun(200, func() { e.QueryCost(u, v, nil) }); a != 0 {
 			t.Errorf("%s: Query allocates %v per run, want 0", name, a)
 		}
 	}
@@ -116,7 +116,8 @@ func TestSOCacheDenseMatchesMap(t *testing.T) {
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			a, b := hin.NodeID(u), hin.NodeID(v)
-			got, want := denseCache.SO(a, b), mapCache.SO(a, b)
+			got, _ := denseCache.SO(a, b)
+			want, _ := mapCache.SO(a, b)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("SO(%d,%d): dense %v != map %v", u, v, got, want)
 			}

@@ -13,7 +13,7 @@ import (
 // workers cooperatively warm a single cache instead of each paying the
 // O(d^2) normalization cost for pairs another worker already computed.
 // Results are positionally aligned with pairs and identical to a serial
-// loop over Query.
+// loop over QueryCost.
 //
 // workers <= 0 uses opts.Workers (which itself defaults to
 // runtime.GOMAXPROCS).

@@ -44,7 +44,7 @@ func TestConcurrentQuerySharedCache(t *testing.T) {
 		for v := u; v < n; v += 2 {
 			p := [2]hin.NodeID{hin.NodeID(u), hin.NodeID(v)}
 			pairs = append(pairs, p)
-			want = append(want, oracle.Query(p[0], p[1]))
+			want = append(want, oracle.QueryCost(p[0], p[1], nil))
 		}
 	}
 
@@ -59,7 +59,7 @@ func TestConcurrentQuerySharedCache(t *testing.T) {
 			// offset so cache fills race on overlapping keys.
 			for i := range pairs {
 				j := (i + w*len(pairs)/goroutines) % len(pairs)
-				if got := shared.Query(pairs[j][0], pairs[j][1]); got != want[j] {
+				if got := shared.QueryCost(pairs[j][0], pairs[j][1], nil); got != want[j] {
 					errs <- "concurrent Query diverged from serial oracle"
 					return
 				}
@@ -71,11 +71,11 @@ func TestConcurrentQuerySharedCache(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
-	hits, misses := shared.Cache().Stats()
-	if hits == 0 {
+	s := shared.Cache().Summary()
+	if s.Hits == 0 {
 		t.Error("shared cache recorded no hits under concurrent load")
 	}
-	if misses == 0 {
+	if s.Misses == 0 {
 		t.Error("shared cache recorded no misses under concurrent load")
 	}
 }
@@ -89,8 +89,8 @@ func TestTopKParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("scoringWorkers(%d) = %d, parallel path not exercised", n, got)
 	}
 	for u := 0; u < g.NumNodes(); u += 5 {
-		par := shared.TopK(hin.NodeID(u), 10)
-		ser := oracle.TopK(hin.NodeID(u), 10)
+		par := shared.TopKCost(hin.NodeID(u), 10, nil)
+		ser := oracle.TopKCost(hin.NodeID(u), 10, nil)
 		if len(par) != len(ser) {
 			t.Fatalf("u=%d: parallel returned %d results, serial %d", u, len(par), len(ser))
 		}
@@ -109,8 +109,8 @@ func TestSingleSourceParallelMatchesSerial(t *testing.T) {
 	shared, oracle, g := concurrencyEnv(t, n)
 	meet := walk.BuildMeetIndex(shared.ix)
 	for u := 0; u < g.NumNodes(); u += 7 {
-		par := shared.SingleSource(hin.NodeID(u), meet)
-		ser := oracle.SingleSource(hin.NodeID(u), meet)
+		par := shared.SingleSourceCost(hin.NodeID(u), meet, nil)
+		ser := oracle.SingleSourceCost(hin.NodeID(u), meet, nil)
 		if len(par) != len(ser) {
 			t.Fatalf("u=%d: parallel returned %d results, serial %d", u, len(par), len(ser))
 		}
@@ -136,15 +136,15 @@ func TestQueryBatchSharedCache(t *testing.T) {
 	}
 	got := shared.QueryBatch(pairs, 8)
 	for i, p := range pairs {
-		if want := oracle.Query(p[0], p[1]); got[i] != want {
+		if want := oracle.QueryCost(p[0], p[1], nil); got[i] != want {
 			t.Fatalf("pair %d (%d,%d): batch %v != serial %v", i, p[0], p[1], got[i], want)
 		}
 	}
-	_, missesBefore := shared.Cache().Stats()
+	missesBefore := shared.Cache().Summary().Misses
 	if again := shared.QueryBatch(pairs, 8); len(again) != len(got) {
 		t.Fatalf("second batch returned %d results, want %d", len(again), len(got))
 	}
-	_, missesAfter := shared.Cache().Stats()
+	missesAfter := shared.Cache().Summary().Misses
 	// randomMeasure only emits scores >= 0.1, so every SO probe of the
 	// first batch was stored; an identical second batch must be served
 	// entirely from the shared cache.
@@ -172,7 +172,8 @@ func TestSOCacheConcurrent(t *testing.T) {
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			a, b := hin.NodeID(u), hin.NodeID(v)
-			probes = append(probes, probe{a, b, direct.SO(a, b)})
+			so, _ := direct.SO(a, b)
+			probes = append(probes, probe{a, b, so})
 		}
 	}
 
@@ -184,7 +185,7 @@ func TestSOCacheConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, p := range probes {
-				if cache.SO(p.a, p.b) != p.want {
+				if so, _ := cache.SO(p.a, p.b); so != p.want {
 					bad.Add(1)
 				}
 			}
@@ -194,8 +195,8 @@ func TestSOCacheConcurrent(t *testing.T) {
 	if bad.Load() != 0 {
 		t.Fatalf("%d concurrent SO lookups diverged from serial values", bad.Load())
 	}
-	hits, misses := cache.Stats()
-	if total := hits + misses; total != int64(goroutines*len(probes)) {
+	s := cache.Summary()
+	if total := s.Hits + s.Misses; total != int64(goroutines*len(probes)) {
 		t.Errorf("counters account for %d probes, want %d", total, goroutines*len(probes))
 	}
 	if cache.Len() != direct.Len() {

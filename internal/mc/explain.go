@@ -4,22 +4,20 @@ import (
 	"time"
 
 	"semsim/internal/hin"
-	"semsim/internal/obs"
 	"semsim/internal/obs/quality"
 	"semsim/internal/semantic"
-	"semsim/internal/walk"
 )
 
-// Explain evaluates sim(u,v) exactly like Query while recording the
-// evidence behind the estimate: per-step meeting counts, the empirical
-// variance and CLT confidence interval over the n_w per-walk
-// contributions, theta-pruning accounting and cache/kernel provenance.
+// Explain evaluates sim(u,v) while recording the evidence behind the
+// estimate: per-step meeting counts, the empirical variance and CLT
+// confidence interval over the n_w per-walk contributions,
+// theta-pruning accounting and cache/kernel provenance.
 //
-// The contract is observe-don't-perturb: Explain walks the identical
-// meet/score loop in the identical order, so Explanation.Score is
-// bit-identical to Query(u, v) on the same index, and the shared
-// pruning counters (sem-skips, walk caps, walks coupled) advance
-// exactly as a plain query would advance them.
+// The contract is observe-don't-perturb: Explain runs query, the one
+// pair loop behind QueryCost, with the evidence switched on, so
+// Explanation.Score is the score QueryCost(u, v, nil) returns on the
+// same index, and the shared pruning counters (sem-skips, walk caps,
+// walks coupled) advance exactly as a plain query would advance them.
 func (e *Estimator) Explain(u, v hin.NodeID) *quality.Explanation {
 	t0 := time.Now()
 	ex := &quality.Explanation{
@@ -31,75 +29,41 @@ func (e *Estimator) Explain(u, v hin.NodeID) *quality.Explanation {
 		SOCacheMode:  e.cacheMode(),
 		KernelMode:   e.kernelMode(),
 	}
-	e.explain(u, v, ex, &ex.Cost)
+	ex.Score = e.query(u, v, &ex.Cost, ex)
 	ex.ElapsedSeconds = time.Since(t0).Seconds()
 	e.m.explains.Inc()
 	e.m.explainLat.ObserveDuration(time.Since(t0))
 	return ex
 }
 
-// explain is the evidence-recording twin of query (mc.go). Any change
-// to query's control flow must be mirrored here — the bit-identity test
-// in explain_test.go catches divergence. co is always non-nil on the
-// Explain path (the Explanation embeds its Cost), threaded through the
-// same accounting points as query's costed mode.
-func (e *Estimator) explain(u, v hin.NodeID, ex *quality.Explanation, co *obs.Cost) {
-	if co != nil {
-		co.Pairs++
-		co.KernelProbes++
+// explainSettled records the evidence of a pair the gate settled
+// without sampling (nil ex records nothing). sim(u,u) = 1 by definition
+// carries no sampling uncertainty, so its interval is degenerate. A
+// theta-pruned pair (Algorithm 1 lines 2-3) is the constant 0; its only
+// error is the pruning envelope, bounded by sem itself via Prop 2.5
+// (sim <= sem <= theta).
+func explainSettled(ex *quality.Explanation, semUV, settled float64) {
+	if ex == nil {
+		return
 	}
-	if u == v {
-		// sim(u,u) = 1 by definition — no sampling involved, so the
-		// interval is degenerate.
-		ex.Score, ex.Sem = 1, 1
+	ex.Sem = semUV
+	if settled == 1 {
 		ex.Mean, ex.CILow, ex.CIHigh = 1, 1, 1
 		return
 	}
-	semUV := e.sem.Sim(u, v)
-	ex.Sem = semUV
-	if e.theta > 0 && semUV <= e.theta {
-		// Algorithm 1 lines 2-3: the whole pair is pruned. The estimate
-		// carries no sampling uncertainty (it is the constant 0); the
-		// only error is the pruning envelope, bounded by sem itself via
-		// Prop 2.5 (sim <= sem <= theta).
-		e.m.semSkips.Inc()
-		if co != nil {
-			co.SemSkips++
-		}
-		ex.SemSkipped = true
-		ex.PruneEnvelope = semUV
-		return
-	}
+	ex.SemSkipped = true
+	ex.PruneEnvelope = semUV
+}
+
+// explainSampled records the evidence of a sampled pair from the sums
+// query accumulated over its n_w coupled walks: the contributions' sum,
+// sum of squares and sum of cubes.
+func (e *Estimator) explainSampled(ex *quality.Explanation, semUV, total, sumSq, sumCube float64, coupled, capped int64) {
 	nw := e.ix.NumWalks()
+	ex.Sem = semUV
 	ex.NumWalks = nw
-	ex.MeetsByStep = make([]int64, e.ix.Length()+1)
-	// Mirrors query(): one pinned view per node, all walks through it.
-	vu, vv := e.ix.ViewCost(u, co), e.ix.ViewCost(v, co)
-	var total, sumSq, sumCube float64
-	var coupled, capped int64
-	for i := 0; i < nw; i++ {
-		tau, ok := walk.MeetViews(vu, vv, i)
-		if !ok {
-			continue
-		}
-		coupled++
-		ex.MeetsByStep[tau]++
-		s, hitCap := e.walkScore(vu, vv, i, tau, co)
-		if hitCap {
-			capped++
-		}
-		total += s
-		sumSq += s * s
-		sumCube += s * s * s
-	}
-	e.m.walksCoupled.Add(coupled)
-	e.m.walkCaps.Add(capped)
-	if co != nil {
-		co.WalkCaps += capped
-	}
 	ex.WalksCoupled = int(coupled)
 	ex.WalkCaps = int(capped)
-
 	mean, variance, stderr, lo, hi := quality.CLT(semUV, nw, total, sumSq)
 	ex.Mean, ex.Variance, ex.StdErr = mean, variance, stderr
 	// Johnson's skewness correction recenters the interval: importance
@@ -109,16 +73,6 @@ func (e *Estimator) explain(u, v hin.NodeID, ex *quality.Explanation, co *obs.Co
 	ex.SkewShift = shift
 	ex.CILow = quality.Clamp01(lo + shift)
 	ex.CIHigh = quality.Clamp01(hi + shift)
-	// Identical clamp to query(): CLT computes mean as semUV*total/nw in
-	// the same floating-point order, so this reproduces Query bit for bit.
-	score := mean
-	if score < 0 {
-		score = 0
-	}
-	if score > 1 {
-		score = 1
-	}
-	ex.Score = score
 	if e.theta > 0 {
 		// Prop 4.6: theta-capping introduces a one-sided additive error
 		// of at most theta on the estimate.

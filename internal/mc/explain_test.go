@@ -39,7 +39,7 @@ func TestExplainBitIdentity(t *testing.T) {
 			}
 			for u := 0; u < g.NumNodes(); u++ {
 				for v := 0; v < g.NumNodes(); v++ {
-					want := est.Query(hin.NodeID(u), hin.NodeID(v))
+					want := est.QueryCost(hin.NodeID(u), hin.NodeID(v), nil)
 					ex := est.Explain(hin.NodeID(u), hin.NodeID(v))
 					if ex.Score != want {
 						t.Fatalf("(%d,%d): Explain score %v != Query %v (diff %g)",
@@ -161,7 +161,7 @@ func TestExplainCounterParity(t *testing.T) {
 	estE, regE := build()
 	for u := 0; u < g.NumNodes(); u++ {
 		for v := 0; v < g.NumNodes(); v++ {
-			estQ.Query(hin.NodeID(u), hin.NodeID(v))
+			estQ.QueryCost(hin.NodeID(u), hin.NodeID(v), nil)
 			estE.Explain(hin.NodeID(u), hin.NodeID(v))
 		}
 	}

@@ -20,9 +20,18 @@
 // Estimator holds no per-query state (the walk index, graph and semantic
 // measure are read-only, and the attached SOCache is sharded and
 // internally locked), so one Estimator can be shared by any number of
-// goroutines. TopK and SingleSource additionally fan their candidate
-// scoring out across an internal worker pool (Options.Workers), and
-// QueryBatch evaluates many pairs concurrently on the shared cache.
+// goroutines. TopKCost and SingleSourceCost additionally fan their
+// candidate scoring out across an internal worker pool (Options.Workers),
+// and QueryBatch evaluates many pairs concurrently on the shared cache.
+//
+// # One loop per query shape
+//
+// Each query shape has one method, and every method runs the same
+// Algorithm 1 pieces: gate (lines 1-3), walkScore (lines 10-18) and
+// flush (line 19). The per-query cost accumulator (co *obs.Cost) and,
+// for a pair, the explain evidence are optional parameters of that one
+// loop: nil turns them off, and the scores cannot differ because there
+// is no second body to drift.
 package mc
 
 import (
@@ -34,6 +43,7 @@ import (
 
 	"semsim/internal/hin"
 	"semsim/internal/obs"
+	"semsim/internal/obs/quality"
 	"semsim/internal/pairgraph"
 	"semsim/internal/rank"
 	"semsim/internal/semantic"
@@ -51,8 +61,9 @@ type Options struct {
 	// Cache, when non-nil, memoizes SO normalizations (SLING-style).
 	// The cache is sharded and safe to share across estimators.
 	Cache *SOCache
-	// Workers sizes the scoring pool used by TopK, SingleSource and
-	// QueryBatch. 0 uses runtime.GOMAXPROCS(0); 1 forces serial scoring.
+	// Workers sizes the scoring pool used by TopKCost, SingleSourceCost
+	// and QueryBatch. 0 uses runtime.GOMAXPROCS(0); 1 forces serial
+	// scoring.
 	Workers int
 	// Metrics, when non-nil, receives the estimator's counters,
 	// latency histograms and pruning statistics (see internal/obs).
@@ -122,81 +133,57 @@ func (e *Estimator) scoringWorkers(n int) int {
 }
 
 // so returns the SARW normalization for the pair (a,b), via the cache when
-// one is attached. The pair is canonicalized so that cached and direct
+// one is attached, and whether it came from cache storage (for cost
+// accounting; without a cache every probe is a full recomputation, i.e.
+// a miss). The pair is canonicalized so that cached and direct
 // computations sum in the same order (bit-identical results).
-func (e *Estimator) so(a, b hin.NodeID) float64 {
+func (e *Estimator) so(a, b hin.NodeID) (float64, bool) {
 	if a > b {
 		a, b = b, a
 	}
 	if e.cache != nil {
 		return e.cache.SO(a, b)
 	}
-	return pairgraph.SO(e.g, e.sem, a, b)
-}
-
-// soProbe is so reporting whether the normalization came from cache
-// storage, for cost accounting. Without a cache every probe is a full
-// recomputation, i.e. a miss.
-func (e *Estimator) soProbe(a, b hin.NodeID) (float64, bool) {
-	if a > b {
-		a, b = b, a
-	}
-	if e.cache != nil {
-		return e.cache.Probe(a, b)
-	}
 	return pairgraph.SO(e.g, e.sem, a, b), false
 }
 
-// Query estimates sim(u,v) with Algorithm 1. The returned score is clamped
-// into [0,1] (cf. Lemma 4.7). When metrics are enabled the call is timed
-// into semsim_query_seconds and counted in semsim_queries_total; the
-// pruning counters fire inside the scoring loop either way.
-func (e *Estimator) Query(u, v hin.NodeID) float64 {
-	return e.QueryCost(u, v, nil)
-}
-
-// QueryCost is Query additionally charging the work performed — walk
-// steps, SO-cache traffic, kernel probes, lazy block decodes — to co. A
-// nil co disables accounting; scores are bit-identical either way (the
-// costed cache probes have the same side effects and return the same
-// values as the uncosted ones).
+// QueryCost estimates sim(u,v) with Algorithm 1, charging the work
+// performed — walk steps, SO-cache traffic, kernel probes, lazy block
+// decodes — to co; a nil co turns the accounting off and leaves the
+// score unchanged. The returned score is clamped into [0,1] (cf. Lemma
+// 4.7). When metrics are enabled the call is timed into
+// semsim_query_seconds and counted in semsim_queries_total; the pruning
+// counters fire inside the scoring loop either way.
 func (e *Estimator) QueryCost(u, v hin.NodeID, co *obs.Cost) float64 {
 	t0 := e.m.queryLat.Start()
-	score := e.query(u, v, co)
+	score := e.query(u, v, co, nil)
 	e.m.queryLat.ObserveSince(t0)
 	e.m.queries.Inc()
 	return score
 }
 
-// query is the uninstrumented single-pair evaluation shared by Query and
-// the top-k scan loops (which report aggregate candidate counts instead
-// of per-candidate timings). Pruning statistics are accumulated locally
-// and flushed with one atomic add per call so heavy concurrent scans
-// don't serialize on the shared counters. co, when non-nil, receives the
+// query is the one uninstrumented single-pair loop behind QueryCost,
+// Explain and the top-k scans (which report aggregate candidate counts
+// instead of per-candidate timings). co, when non-nil, receives the
 // pair's cost accounting (plain field bumps, never shared across
 // goroutines — parallel scans give each worker a local Cost and merge).
-func (e *Estimator) query(u, v hin.NodeID, co *obs.Cost) float64 {
-	if co != nil {
-		co.Pairs++
-		co.KernelProbes++ // the sem(u,v) gate probe below
-	}
-	if u == v {
-		return 1
-	}
-	semUV := e.sem.Sim(u, v)
-	if e.theta > 0 && semUV <= e.theta {
-		e.m.semSkips.Inc()
-		if co != nil {
-			co.SemSkips++
-		}
-		return 0 // lines 2-3 of Algorithm 1
+// ex, when non-nil, additionally receives the evidence behind the
+// estimate (explain.go); the score is the same either way.
+func (e *Estimator) query(u, v hin.NodeID, co *obs.Cost, ex *quality.Explanation) float64 {
+	semUV, settled, sample := e.gate(u, v, co)
+	if !sample {
+		explainSettled(ex, semUV, settled)
+		return settled
 	}
 	nw := e.ix.NumWalks()
+	if ex != nil {
+		ex.MeetsByStep = make([]int64, e.ix.Length()+1)
+	}
 	// One view fetch per node pins both walk blocks for the whole query:
 	// in resident mode this compiles to the same slab indexing as
 	// before; in lazy mode it is two cache probes instead of 2*n_w.
-	vu, vv := e.ix.ViewCost(u, co), e.ix.ViewCost(v, co)
-	var total float64
+	vu, vv := e.ix.View(u, co), e.ix.View(v, co)
+	var total, sumSq, sumCube float64
 	var coupled, capped int64
 	for i := 0; i < nw; i++ {
 		tau, ok := walk.MeetViews(vu, vv, i)
@@ -209,13 +196,54 @@ func (e *Estimator) query(u, v hin.NodeID, co *obs.Cost) float64 {
 			capped++
 		}
 		total += s
+		if ex != nil {
+			ex.MeetsByStep[tau]++
+			sumSq += s * s
+			sumCube += s * s * s
+		}
 	}
+	score := e.flush(semUV, total, coupled, capped, co)
+	if ex != nil {
+		e.explainSampled(ex, semUV, total, sumSq, sumCube, coupled, capped)
+	}
+	return score
+}
+
+// gate is lines 1-3 of Algorithm 1, shared by every scoring loop. It
+// charges the pair and its sem(u,v) probe to co and returns sem(u,v).
+// sample is false when the pair's score is settled without walks: 1 for
+// u == v (sim(u,u) = 1 by definition), 0 for a pair theta prunes.
+func (e *Estimator) gate(u, v hin.NodeID, co *obs.Cost) (semUV, settled float64, sample bool) {
+	if co != nil {
+		co.Pairs++
+		co.KernelProbes++ // the sem(u,v) probe below
+	}
+	if u == v {
+		return 1, 1, false
+	}
+	semUV = e.sem.Sim(u, v)
+	if e.theta > 0 && semUV <= e.theta {
+		e.m.semSkips.Inc()
+		if co != nil {
+			co.SemSkips++
+		}
+		return semUV, 0, false
+	}
+	return semUV, 0, true
+}
+
+// flush is line 19 of Algorithm 1, shared by every scoring loop: it
+// publishes a pair's pruning statistics — accumulated locally, then one
+// atomic add each, so heavy concurrent scans don't serialize on the
+// shared counters — and returns sem(u,v) * total / n_w clamped into
+// [0,1].
+func (e *Estimator) flush(semUV, total float64, coupled, capped int64, co *obs.Cost) float64 {
 	e.m.walksCoupled.Add(coupled)
 	e.m.walkCaps.Add(capped)
 	if co != nil {
 		co.WalkCaps += capped
 	}
-	score := semUV * total / float64(nw)
+	score := semUV * total / float64(e.ix.NumWalks())
 	if score < 0 {
 		return 0
 	}
@@ -229,7 +257,8 @@ func (e *Estimator) query(u, v hin.NodeID, co *obs.Cost) float64 {
 // fanning out across the worker pool (workers <= 0 uses the configured
 // pool size). All workers share the estimator — and therefore the SO
 // cache, so one batch warms the cache for the next. Results are
-// positionally aligned with pairs and identical to calling Query serially.
+// positionally aligned with pairs and identical to calling QueryCost
+// serially.
 func (e *Estimator) QueryBatch(pairs [][2]hin.NodeID, workers int) []float64 {
 	return e.QueryBatchInto(make([]float64, len(pairs)), pairs, workers)
 }
@@ -248,7 +277,7 @@ func (e *Estimator) QueryBatchInto(dst []float64, pairs [][2]hin.NodeID, workers
 	out := dst
 	if workers <= 1 {
 		for i, p := range pairs {
-			out[i] = e.Query(p[0], p[1])
+			out[i] = e.QueryCost(p[0], p[1], nil)
 		}
 		e.finishBatch(t0, len(pairs))
 		return out
@@ -270,7 +299,7 @@ func (e *Estimator) QueryBatchInto(dst []float64, pairs [][2]hin.NodeID, workers
 			e.m.poolActive.Add(1)
 			defer e.m.poolActive.Add(-1)
 			for i := lo; i < hi; i++ {
-				out[i] = e.Query(pairs[i][0], pairs[i][1])
+				out[i] = e.QueryCost(pairs[i][0], pairs[i][1], nil)
 			}
 		}(lo, hi)
 	}
@@ -293,7 +322,7 @@ func (e *Estimator) finishBatch(t0 time.Time, pairs int) {
 // read through the caller's pinned views so one block probe covers all
 // n_w walks of a lazy index. A non-nil co charges each step's work (the
 // step itself, the SO probe by outcome, the sem kernel probe); the nil
-// path takes one predictable branch per step and calls the plain so.
+// path takes one predictable branch per step.
 func (e *Estimator) walkScore(vu, vv walk.NodeView, i, tau int, co *obs.Cost) (score float64, capped bool) {
 	wu := vu.Walk(i)
 	wv := vv.Walk(i)
@@ -302,15 +331,11 @@ func (e *Estimator) walkScore(vu, vv walk.NodeView, i, tau int, co *obs.Cost) (s
 		cu, cv := hin.NodeID(wu[s]), hin.NodeID(wv[s])
 		nu, nv := hin.NodeID(wu[s+1]), hin.NodeID(wv[s+1])
 
-		var so float64
-		if co == nil {
-			so = e.so(cu, cv)
-		} else {
+		so, stored := e.so(cu, cv)
+		if co != nil {
 			co.WalkSteps++
 			co.KernelProbes++ // the sem(nu,nv) probe in pStep below
-			var hit bool
-			so, hit = e.soProbe(cu, cv)
-			if hit {
+			if stored {
 				co.SOHits++
 			} else {
 				co.SOMisses++
@@ -338,18 +363,14 @@ func (e *Estimator) walkScore(vu, vv walk.NodeView, i, tau int, co *obs.Cost) (s
 	return simW, false
 }
 
-// TopK returns the k nodes most similar to u (excluding u) in descending
-// score order, omitting zero scores — the paper's top-k similarity search
-// workload. Candidates are scored in parallel across the worker pool;
-// results are identical to a serial scan (rank.TopK's total order makes
-// the selection independent of scoring order).
-func (e *Estimator) TopK(u hin.NodeID, k int) []rank.Scored {
-	return e.TopKCost(u, k, nil)
-}
-
-// TopKCost is TopK charging the scan's work to co (nil co is exactly
-// TopK). Parallel workers accumulate into worker-local Costs merged
-// after the join, so the accounting adds no cross-goroutine traffic.
+// TopKCost returns the k nodes most similar to u (excluding u) in
+// descending score order, omitting zero scores — the paper's top-k
+// similarity search workload — and charges the scan's work to co (nil
+// turns the accounting off). Candidates are scored in parallel across
+// the worker pool; results are identical to a serial scan (rank.TopK's
+// total order makes the selection independent of scoring order).
+// Parallel workers accumulate into worker-local Costs merged after the
+// join, so the accounting adds no cross-goroutine traffic.
 func (e *Estimator) TopKCost(u hin.NodeID, k int, co *obs.Cost) []rank.Scored {
 	t0 := e.m.topkLat.Start()
 	n := e.g.NumNodes()
@@ -360,7 +381,7 @@ func (e *Estimator) TopKCost(u hin.NodeID, k int, co *obs.Cost) []rank.Scored {
 			if hin.NodeID(v) == u {
 				continue
 			}
-			if s := e.query(u, hin.NodeID(v), co); s > 0 {
+			if s := e.query(u, hin.NodeID(v), co, nil); s > 0 {
 				h.Push(rank.Scored{Node: hin.NodeID(v), Score: s})
 			}
 		}
@@ -397,7 +418,7 @@ func (e *Estimator) TopKCost(u hin.NodeID, k int, co *obs.Cost) []rank.Scored {
 				if hin.NodeID(v) == u {
 					continue
 				}
-				if s := e.query(u, hin.NodeID(v), wco); s > 0 {
+				if s := e.query(u, hin.NodeID(v), wco, nil); s > 0 {
 					h.Push(rank.Scored{Node: hin.NodeID(v), Score: s})
 				}
 			}
@@ -431,20 +452,15 @@ func (e *Estimator) finishTopK(t0 time.Time, candidates int) {
 	e.m.topkCands.Observe(float64(candidates))
 }
 
-// TopKSemBounded is TopK accelerated by Proposition 2.5 (sim(u,v) <=
-// sem(u,v)): candidates are scanned in descending semantic-similarity
-// order, and the scan stops as soon as the heap holds k results whose
-// k-th score beats the next candidate's semantic bound — no later
-// candidate can displace anything. Results are identical to TopK; only
-// the number of walk-coupling evaluations shrinks. The early-terminated
-// scan is inherently sequential, so this path does not use the pool.
-func (e *Estimator) TopKSemBounded(u hin.NodeID, k int) []rank.Scored {
-	return e.TopKSemBoundedCost(u, k, nil)
-}
-
-// TopKSemBoundedCost is TopKSemBounded charging the scan's work —
-// including the n-1 semantic bound probes of the candidate sort — to co
-// (nil co is exactly TopKSemBounded).
+// TopKSemBoundedCost is TopKCost accelerated by Proposition 2.5
+// (sim(u,v) <= sem(u,v)): candidates are scanned in descending
+// semantic-similarity order, and the scan stops as soon as the heap
+// holds k results whose k-th score beats the next candidate's semantic
+// bound — no later candidate can displace anything. Results are
+// identical to TopKCost; only the number of walk-coupling evaluations
+// shrinks. The early-terminated scan is inherently sequential, so this
+// path does not use the pool. co (nil for none) is charged the scan's
+// work, including the n-1 semantic bound probes of the candidate sort.
 func (e *Estimator) TopKSemBoundedCost(u hin.NodeID, k int, co *obs.Cost) []rank.Scored {
 	t0 := e.m.topkLat.Start()
 	n := e.g.NumNodes()
@@ -478,7 +494,7 @@ func (e *Estimator) TopKSemBoundedCost(u hin.NodeID, k int, co *obs.Cost) []rank
 				break // Prop 2.5: sim <= sem < current k-th best
 			}
 		}
-		if s := e.query(u, c.node, co); s > 0 {
+		if s := e.query(u, c.node, co, nil); s > 0 {
 			h.Push(rank.Scored{Node: c.node, Score: s})
 		}
 	}

@@ -78,7 +78,7 @@ func TestUnbiasedness(t *testing.T) {
 			t.Fatalf("New: %v", err)
 		}
 		for i, p := range pairs {
-			sums[i] += est.Query(p[0], p[1])
+			sums[i] += est.QueryCost(p[0], p[1], nil)
 		}
 	}
 	for i, p := range pairs {
@@ -109,7 +109,7 @@ func TestUniformDegeneratesToSimRankMC(t *testing.T) {
 	}
 	for u := 0; u < g.NumNodes(); u++ {
 		for v := 0; v < g.NumNodes(); v++ {
-			a := est.Query(hin.NodeID(u), hin.NodeID(v))
+			a := est.QueryCost(hin.NodeID(u), hin.NodeID(v), nil)
 			b := srmc.Query(hin.NodeID(u), hin.NodeID(v))
 			if math.Abs(a-b) > 1e-12 {
 				t.Fatalf("(%d,%d): SemSim(Uniform) MC %v != SimRank MC %v", u, v, a, b)
@@ -129,12 +129,12 @@ func TestQuerySelfAndRange(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if got := est.Query(4, 4); got != 1 {
+	if got := est.QueryCost(4, 4, nil); got != 1 {
 		t.Errorf("Query(v,v) = %v, want 1", got)
 	}
 	for u := 0; u < 10; u++ {
 		for v := 0; v < 10; v++ {
-			s := est.Query(hin.NodeID(u), hin.NodeID(v))
+			s := est.QueryCost(hin.NodeID(u), hin.NodeID(v), nil)
 			if s < 0 || s > 1 {
 				t.Fatalf("Query(%d,%d) = %v outside [0,1]", u, v, s)
 			}
@@ -165,14 +165,14 @@ func TestPruning(t *testing.T) {
 	for u := 0; u < 12; u++ {
 		for v := 0; v < 12; v++ {
 			a, b := hin.NodeID(u), hin.NodeID(v)
-			sp := pruned.Query(a, b)
+			sp := pruned.QueryCost(a, b, nil)
 			if sp < 0 || sp > 1 {
 				t.Fatalf("pruned score %v outside [0,1]", sp)
 			}
 			if u != v && m.Sim(a, b) <= theta && sp != 0 {
 				t.Errorf("sem(%d,%d) <= theta but pruned score = %v", u, v, sp)
 			}
-			if diff := math.Abs(sp - plain.Query(a, b)); diff > theta+0.02 {
+			if diff := math.Abs(sp - plain.QueryCost(a, b, nil)); diff > theta+0.02 {
 				t.Errorf("(%d,%d): pruning changed score by %v > theta %v", u, v, diff, theta)
 			}
 		}
@@ -197,18 +197,16 @@ func TestSOCacheConsistency(t *testing.T) {
 	}
 	for u := 0; u < 10; u++ {
 		for v := 0; v < 10; v++ {
-			a := plain.Query(hin.NodeID(u), hin.NodeID(v))
-			b := cached.Query(hin.NodeID(u), hin.NodeID(v))
+			a := plain.QueryCost(hin.NodeID(u), hin.NodeID(v), nil)
+			b := cached.QueryCost(hin.NodeID(u), hin.NodeID(v), nil)
 			if a != b {
 				t.Fatalf("(%d,%d): cached %v != plain %v", u, v, b, a)
 			}
 		}
 	}
-	hits, misses := cache.Stats()
-	if hits == 0 {
+	if cache.Summary().Hits == 0 {
 		t.Error("cache recorded no hits across repeated queries")
 	}
-	_ = misses
 	if cache.MemoryBytes() != int64(cache.Len())*32 {
 		t.Error("MemoryBytes inconsistent with Len")
 	}
@@ -327,7 +325,7 @@ func TestTopK(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	top := est.TopK(0, 4)
+	top := est.TopKCost(0, 4, nil)
 	if len(top) > 4 {
 		t.Fatalf("TopK returned %d entries", len(top))
 	}
@@ -340,7 +338,7 @@ func TestTopK(t *testing.T) {
 		if s.Node == 0 {
 			t.Error("TopK included the query node")
 		}
-		if got := est.Query(0, s.Node); got != s.Score {
+		if got := est.QueryCost(0, s.Node, nil); got != s.Score {
 			t.Errorf("TopK score mismatch for node %d: %v vs %v", s.Node, s.Score, got)
 		}
 	}
@@ -364,14 +362,14 @@ func TestSingleSourceMatchesQuery(t *testing.T) {
 		}
 		for u := 0; u < g.NumNodes(); u++ {
 			got := map[hin.NodeID]float64{}
-			for _, s := range est.SingleSource(hin.NodeID(u), meet) {
+			for _, s := range est.SingleSourceCost(hin.NodeID(u), meet, nil) {
 				got[s.Node] = s.Score
 			}
 			for v := 0; v < g.NumNodes(); v++ {
 				if v == u {
 					continue
 				}
-				want := est.Query(hin.NodeID(u), hin.NodeID(v))
+				want := est.QueryCost(hin.NodeID(u), hin.NodeID(v), nil)
 				if want == 0 {
 					if _, ok := got[hin.NodeID(v)]; ok {
 						t.Fatalf("theta=%v u=%d v=%d: single-source reported zero-score node", theta, u, v)
@@ -399,8 +397,8 @@ func TestTopKWithIndexMatchesTopK(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	for u := 0; u < g.NumNodes(); u++ {
-		brute := est.TopK(hin.NodeID(u), 5)
-		fast := est.TopKWithIndex(hin.NodeID(u), 5, meet)
+		brute := est.TopKCost(hin.NodeID(u), 5, nil)
+		fast := est.TopKWithIndexCost(hin.NodeID(u), 5, meet, nil)
 		if len(brute) != len(fast) {
 			t.Fatalf("u=%d: lengths %d vs %d", u, len(brute), len(fast))
 		}
@@ -436,7 +434,7 @@ func TestTopKWithIndexCostMeetCells(t *testing.T) {
 		if co.MeetCells != want {
 			t.Fatalf("u=%d: MeetCells = %d, want %d", u, co.MeetCells, want)
 		}
-		if !slices.Equal(got, est.TopKWithIndex(hin.NodeID(u), 5, meet)) {
+		if !slices.Equal(got, est.TopKWithIndexCost(hin.NodeID(u), 5, meet, nil)) {
 			t.Fatalf("u=%d: costed top-k differs from TopKWithIndex", u)
 		}
 	}
@@ -458,8 +456,8 @@ func TestTopKSemBoundedMatchesTopK(t *testing.T) {
 		}
 		for u := 0; u < g.NumNodes(); u++ {
 			for _, k := range []int{1, 3, 7} {
-				brute := est.TopK(hin.NodeID(u), k)
-				fast := est.TopKSemBounded(hin.NodeID(u), k)
+				brute := est.TopKCost(hin.NodeID(u), k, nil)
+				fast := est.TopKSemBoundedCost(hin.NodeID(u), k, nil)
 				if len(brute) != len(fast) {
 					t.Fatalf("theta=%v u=%d k=%d: lengths %d vs %d", theta, u, k, len(brute), len(fast))
 				}

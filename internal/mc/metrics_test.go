@@ -38,13 +38,13 @@ func TestEstimatorMetricsPopulated(t *testing.T) {
 
 	for u := 0; u < 8; u++ {
 		for v := 0; v < n; v++ {
-			est.Query(hin.NodeID(u), hin.NodeID(v))
+			est.QueryCost(hin.NodeID(u), hin.NodeID(v), nil)
 		}
 	}
-	est.TopK(0, 5)
-	est.TopKSemBounded(1, 5)
-	est.TopKWithIndex(2, 5, meet)
-	est.SingleSource(3, meet)
+	est.TopKCost(0, 5, nil)
+	est.TopKSemBoundedCost(1, 5, nil)
+	est.TopKWithIndexCost(2, 5, meet, nil)
+	est.SingleSourceCost(3, meet, nil)
 	pairs := [][2]hin.NodeID{{0, 1}, {2, 3}, {4, 5}}
 	est.QueryBatch(pairs, 2)
 
@@ -126,7 +126,7 @@ func TestMetricsDoNotChangeResults(t *testing.T) {
 	}
 	for u := 0; u < n; u++ {
 		for v := u; v < n; v++ {
-			a, b := plain.Query(hin.NodeID(u), hin.NodeID(v)), inst.Query(hin.NodeID(u), hin.NodeID(v))
+			a, b := plain.QueryCost(hin.NodeID(u), hin.NodeID(v), nil), inst.QueryCost(hin.NodeID(u), hin.NodeID(v), nil)
 			if a != b {
 				t.Fatalf("(%d,%d): instrumented %v != plain %v", u, v, b, a)
 			}
@@ -156,7 +156,7 @@ func TestQueryAllocFree(t *testing.T) {
 		}
 		var u hin.NodeID
 		allocs := testing.AllocsPerRun(200, func() {
-			est.Query(u%hin.NodeID(n), (u+3)%hin.NodeID(n))
+			est.QueryCost(u%hin.NodeID(n), (u+3)%hin.NodeID(n), nil)
 			u++
 		})
 		if allocs != 0 {
@@ -190,9 +190,5 @@ func TestCacheSummaryCoherent(t *testing.T) {
 	}
 	if s.Entries != cache.Len() {
 		t.Errorf("Entries = %d, Len = %d", s.Entries, cache.Len())
-	}
-	hits, misses := cache.Stats() // deprecated shim must agree
-	if hits != s.Hits || misses != s.Misses {
-		t.Errorf("Stats (%d,%d) disagrees with Summary %+v", hits, misses, s)
 	}
 }

@@ -29,23 +29,18 @@ type ssScratch struct {
 
 var ssScratchPool = sync.Pool{New: func() any { return new(ssScratch) }}
 
-// SingleSource estimates sim(u, v) for every v whose walks collide with
-// u's, using an inverted meeting index instead of probing all n
+// SingleSourceCost estimates sim(u, v) for every v whose walks collide
+// with u's, using an inverted meeting index instead of probing all n
 // candidates — the single-source optimization the paper's Section 7
 // leaves as future work. The result contains only nodes with a nonzero
 // estimate, in ascending node order. Estimates are identical to calling
-// Query(u, v) per candidate (the meeting detection is the same; only the
-// enumeration changes). Candidate groups are scored in parallel across
-// the worker pool; the output order and values match the serial scan.
-func (e *Estimator) SingleSource(u hin.NodeID, meet *walk.MeetIndex) []rank.Scored {
-	return e.SingleSourceCost(u, meet, nil)
-}
-
-// SingleSourceCost is SingleSource charging the sweep's work to co (nil
-// co is exactly SingleSource): the meet-index cells read, plus each
-// group's walk scoring through the same per-step accounting as
-// QueryCost. Parallel workers accumulate into pooled worker-local Costs
-// merged after the join.
+// QueryCost(u, v) per candidate (the meeting detection is the same and
+// the gate and flush are shared; only the enumeration changes).
+// Candidate groups are scored in parallel across the worker pool; the
+// output order and values match the serial scan. co (nil for none) is
+// charged the meet-index cells read, plus each group's walk scoring
+// through the same per-step accounting as QueryCost; parallel workers
+// accumulate into pooled worker-local Costs merged after the join.
 func (e *Estimator) SingleSourceCost(u hin.NodeID, meet *walk.MeetIndex, co *obs.Cost) []rank.Scored {
 	sc := ssScratchPool.Get().(*ssScratch)
 	defer ssScratchPool.Put(sc)
@@ -68,7 +63,7 @@ func (e *Estimator) SingleSourceCost(u hin.NodeID, meet *walk.MeetIndex, co *obs
 // reports false when no walk collides with u's.
 func (e *Estimator) scoreCollisions(u hin.NodeID, meet *walk.MeetIndex, co *obs.Cost, sc *ssScratch) bool {
 	t0 := e.m.singleLat.Start()
-	vu := e.ix.ViewCost(u, co)
+	vu := e.ix.View(u, co)
 	if co != nil {
 		// The enumeration reads one meet-index cell per live position
 		// of u's walks.
@@ -94,21 +89,14 @@ func (e *Estimator) scoreCollisions(u hin.NodeID, meet *walk.MeetIndex, co *obs.
 	}
 	sc.groups = groups
 
-	nw := float64(e.ix.NumWalks())
+	// scoreGroup is query's loop over the walks the enumeration already
+	// found meeting, with query's gate and flush.
 	scoreGroup := func(g ssGroup, gco *obs.Cost) float64 {
-		if gco != nil {
-			gco.Pairs++
-			gco.KernelProbes++
+		semUV, settled, sample := e.gate(u, g.other, gco)
+		if !sample {
+			return settled
 		}
-		semUV := e.sem.Sim(u, g.other)
-		if e.theta > 0 && semUV <= e.theta {
-			e.m.semSkips.Inc()
-			if gco != nil {
-				gco.SemSkips++
-			}
-			return 0
-		}
-		vo := e.ix.ViewCost(g.other, gco)
+		vo := e.ix.View(g.other, gco)
 		var total float64
 		var capped int64
 		for _, col := range cols[g.lo:g.hi] {
@@ -118,16 +106,7 @@ func (e *Estimator) scoreCollisions(u hin.NodeID, meet *walk.MeetIndex, co *obs.
 			}
 			total += s
 		}
-		e.m.walksCoupled.Add(int64(g.hi - g.lo))
-		e.m.walkCaps.Add(capped)
-		if gco != nil {
-			gco.WalkCaps += capped
-		}
-		score := semUV * total / nw
-		if score > 1 {
-			score = 1
-		}
-		return score
+		return e.flush(semUV, total, int64(g.hi-g.lo), capped, gco)
 	}
 
 	if cap(sc.scores) < len(groups) {
@@ -198,18 +177,12 @@ func (e *Estimator) finishSingleSource(t0 time.Time, groups int) {
 	e.m.singleCands.Observe(float64(groups))
 }
 
-// TopKWithIndex is TopK over the single-source enumeration: only nodes
-// whose walks actually meet u's are scored. It counts as both a
+// TopKWithIndexCost is TopKCost over the single-source enumeration: only
+// nodes whose walks actually meet u's are scored. It counts as both a
 // single-source sweep (the inner enumeration) and a top-k search in the
-// metrics.
-func (e *Estimator) TopKWithIndex(u hin.NodeID, k int, meet *walk.MeetIndex) []rank.Scored {
-	return e.TopKWithIndexCost(u, k, meet, nil)
-}
-
-// TopKWithIndexCost is TopKWithIndex charging the inner single-source
-// sweep's work to co (nil co is exactly TopKWithIndex). The heap takes
-// the nonzero scores straight from the sweep's pooled scratch, so no
-// single-source result is materialized.
+// metrics, and charges the sweep's work to co (nil for none). The heap
+// takes the nonzero scores straight from the sweep's pooled scratch, so
+// no single-source result is materialized.
 func (e *Estimator) TopKWithIndexCost(u hin.NodeID, k int, meet *walk.MeetIndex, co *obs.Cost) []rank.Scored {
 	t0 := e.m.topkLat.Start()
 	sc := ssScratchPool.Get().(*ssScratch)

@@ -38,7 +38,7 @@ type SOCache struct {
 	shards [soCacheShards]soShard
 }
 
-// soShard is one lock stripe of the cache. Counters are atomic so Stats
+// soShard is one lock stripe of the cache. Counters are atomic so Summary
 // stays exact even while queriers are mutating the shard maps.
 type soShard struct {
 	mu     sync.RWMutex
@@ -94,42 +94,11 @@ func (c *SOCache) shardOf(k uint64) *soShard {
 }
 
 // SO returns the normalization for (a,b), caching it when the pair's
-// semantic similarity reaches the cutoff. The pair is canonicalized so
+// semantic similarity reaches the cutoff, and reports whether the value
+// came from cache storage (the dense table or a stripe-map entry) rather
+// than a fresh O(d^2) recomputation. The pair is canonicalized so
 // results are bit-identical regardless of argument order.
-func (c *SOCache) SO(a, b hin.NodeID) float64 {
-	if a > b {
-		a, b = b, a
-	}
-	k := pairkey.Key(a, b)
-	if d := c.dense.Load(); d != nil {
-		c.shardOf(k).hits.Add(1)
-		return d.vals[d.rowOff[a]+int64(b)]
-	}
-	sh := c.shardOf(k)
-	sh.mu.RLock()
-	v, ok := sh.vals[k]
-	sh.mu.RUnlock()
-	if ok {
-		sh.hits.Add(1)
-		return v
-	}
-	sh.misses.Add(1)
-	v = pairgraph.SO(c.g, c.sem, a, b)
-	if c.sem.Sim(a, b) >= c.cutoff {
-		sh.mu.Lock()
-		sh.vals[k] = v
-		sh.mu.Unlock()
-	}
-	return v
-}
-
-// Probe is SO reporting whether the value came from cache storage (the
-// dense table or a stripe-map entry) rather than a fresh O(d^2)
-// recomputation. Side effects — the per-shard hit/miss counters and the
-// store-on-miss of above-cutoff pairs — are identical to SO, so costed
-// and uncosted query paths leave the cache in the same state and return
-// bit-identical values.
-func (c *SOCache) Probe(a, b hin.NodeID) (float64, bool) {
+func (c *SOCache) SO(a, b hin.NodeID) (so float64, stored bool) {
 	if a > b {
 		a, b = b, a
 	}
@@ -375,16 +344,6 @@ func (c *SOCache) Summary() CacheSummary {
 		s.HitRatio = float64(s.Hits) / float64(total)
 	}
 	return s
-}
-
-// Stats reports hit/miss counters aggregated over all shards.
-//
-// Deprecated: use Summary, which aggregates once and carries the derived
-// hit ratio, instead of dividing these counters yourself (two separate
-// Stats reads can interleave with live traffic and skew the ratio).
-func (c *SOCache) Stats() (hits, misses int64) {
-	s := c.Summary()
-	return s.Hits, s.Misses
 }
 
 // ShardStats reports per-stripe entry counts and hit/miss counters, for

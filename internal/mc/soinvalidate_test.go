@@ -36,7 +36,7 @@ func TestInvalidateAll(t *testing.T) {
 			if dense && !c.EnableDense(0, 2) {
 				t.Fatal("EnableDense refused")
 			}
-			before := c.SO(3, 7)
+			before, _ := c.SO(3, 7)
 			if c.Len() == 0 {
 				t.Fatal("cache empty after warm")
 			}
@@ -48,7 +48,7 @@ func TestInvalidateAll(t *testing.T) {
 				t.Fatal("dense table still published after InvalidateAll")
 			}
 			// Probes recompute and return identical values.
-			if after := c.SO(3, 7); after != before {
+			if after, _ := c.SO(3, 7); after != before {
 				t.Fatalf("SO(3,7) = %v after invalidation, want %v", after, before)
 			}
 		})
@@ -79,7 +79,7 @@ func TestInvalidatePairs(t *testing.T) {
 			for _, p := range pairs {
 				a, b := pairkey.Canonical(p[0], p[1])
 				want := pairgraph.SO(g, sem, a, b)
-				if got := c.SO(p[0], p[1]); got != want {
+				if got, _ := c.SO(p[0], p[1]); got != want {
 					t.Fatalf("SO%v = %v after invalidation, want %v", p, got, want)
 				}
 			}
@@ -109,7 +109,7 @@ func TestInvalidateConcurrent(t *testing.T) {
 						a, b := pairkey.Canonical(
 							hin.NodeID((w*31+it)%24), hin.NodeID((w*17+it*7)%24))
 						want := pairgraph.SO(g, sem, a, b)
-						if got := c.SO(a, b); got != want {
+						if got, _ := c.SO(a, b); got != want {
 							t.Errorf("SO(%d,%d) = %v, want %v", a, b, got, want)
 							return
 						}
@@ -158,7 +158,7 @@ func TestMigrate(t *testing.T) {
 			for u := 0; u < 22; u++ {
 				for v := u; v < 22; v++ {
 					want := pairgraph.SO(newG, sem, hin.NodeID(u), hin.NodeID(v))
-					if got := mig.SO(hin.NodeID(u), hin.NodeID(v)); got != want {
+					if got, _ := mig.SO(hin.NodeID(u), hin.NodeID(v)); got != want {
 						t.Fatalf("migrated SO(%d,%d) = %v, want %v", u, v, got, want)
 					}
 				}

@@ -127,7 +127,7 @@ func (m *MC) Query(u, v hin.NodeID) float64 {
 	}
 	var sum float64
 	nw := m.ix.NumWalks()
-	vu, vv := m.ix.View(u), m.ix.View(v)
+	vu, vv := m.ix.View(u, nil), m.ix.View(v, nil)
 	for i := 0; i < nw; i++ {
 		if tau, ok := walk.MeetViews(vu, vv, i); ok {
 			sum += m.powC[tau]

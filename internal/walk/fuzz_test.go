@@ -41,9 +41,10 @@ func seedCorpus(f *testing.F, g *hin.Graph) {
 			f.Fatalf("WriteTo: %v", err)
 		}
 		f.Add(buf.Bytes())
-		// The flat checksummed v2 layout, and its legacy (v1,
-		// checksum-free) rewrite: Load must keep accepting both, and
-		// mutants exercise the per-format payload paths.
+		// The flat checksummed v2 layout, which Load must keep
+		// accepting, and its retired v1 (checksum-free) rewrite, which
+		// it must reject without panicking; mutants exercise the
+		// per-format paths.
 		var v2 bytes.Buffer
 		if _, err := ix.WriteToFormat(&v2, FormatV2); err != nil {
 			f.Fatalf("WriteToFormat: %v", err)
@@ -133,22 +134,25 @@ func TestFuzzSeedsPassWithoutFuzzing(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Fatal("round trip is not byte-identical")
 	}
-	// The v2 serialization and its legacy rewrite must load to identical
-	// walks and re-serialize (upgrading to v3) to the same fixpoint.
+	// The v2 serialization loads and re-serializes (upgrading to v3) to
+	// the same fixpoint; its retired v1 rewrite is rejected.
 	var v2 bytes.Buffer
 	if _, err := ix.WriteToFormat(&v2, FormatV2); err != nil {
 		t.Fatalf("WriteToFormat: %v", err)
 	}
-	legacy, err := Load(bytes.NewReader(legacyBytes(v2.Bytes())), g)
+	fromV2, err := Load(bytes.NewReader(v2.Bytes()), g)
 	if err != nil {
-		t.Fatalf("Load legacy: %v", err)
+		t.Fatalf("Load v2: %v", err)
 	}
-	var fromLegacy bytes.Buffer
-	if _, err := legacy.WriteTo(&fromLegacy); err != nil {
+	var upgraded bytes.Buffer
+	if _, err := fromV2.WriteTo(&upgraded); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), fromLegacy.Bytes()) {
-		t.Fatal("legacy round trip does not upgrade to the same v3 bytes")
+	if !bytes.Equal(buf.Bytes(), upgraded.Bytes()) {
+		t.Fatal("v2 round trip does not upgrade to the same v3 bytes")
+	}
+	if _, err := Load(bytes.NewReader(legacyBytes(v2.Bytes())), g); err == nil {
+		t.Fatal("Load accepted the retired v1 layout")
 	}
 	// Hostile huge-dimension headers must be rejected, not allocated, in
 	// every layout.

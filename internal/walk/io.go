@@ -18,9 +18,6 @@ import (
 //	edges u32 (graph fingerprint) | crc32 u32 (IEEE, walk payload) |
 //	walks []int32 LE
 //
-// Version 1 is the same layout without the crc32 word; Load still reads
-// it (walk files written before checksumming existed stay loadable).
-//
 // Version 3 (compressed block format, the default WriteTo emits — see
 // io_v3.go for the encoding) stores the walks as in-neighbor-slot
 // varints in fixed-size blocks with a per-block CRC and an offset
@@ -35,10 +32,9 @@ import (
 const (
 	indexMagic = "SSWK"
 
-	// FormatV1 files carry no checksum; FormatV2 files insert a crc32
-	// word after the edges fingerprint; FormatV3 files use the
-	// compressed block layout of io_v3.go.
-	FormatV1 = 1
+	// FormatV2 files carry a crc32 word after the edges fingerprint;
+	// FormatV3 files use the compressed block layout of io_v3.go.
+	// Version 1, the checksum-free predecessor of v2, is no longer read.
 	FormatV2 = 2
 	FormatV3 = 3
 
@@ -63,7 +59,7 @@ func (ix *Index) payloadCRC() uint32 {
 	sum := crc32.NewIEEE()
 	var buf [4]byte
 	for v := 0; v < ix.n; v++ {
-		nv := ix.View(hin.NodeID(v))
+		nv := ix.View(hin.NodeID(v), nil)
 		for _, step := range nv.walks {
 			binary.LittleEndian.PutUint32(buf[:], uint32(step))
 			sum.Write(buf[:])
@@ -121,7 +117,7 @@ func (ix *Index) writeToV2(w io.Writer) (int64, error) {
 	}
 	buf := make([]byte, 4)
 	for v := 0; v < ix.n; v++ {
-		nv := ix.View(hin.NodeID(v))
+		nv := ix.View(hin.NodeID(v), nil)
 		for _, step := range nv.walks {
 			binary.LittleEndian.PutUint32(buf, uint32(step))
 			n, err := bw.Write(buf)
@@ -172,8 +168,7 @@ func checkDims(g *hin.Graph, n, nw, t, edges int) error {
 // format version), attaching it to g. It fails with a descriptive error
 // if the stored dimensions or the graph fingerprint do not match g, if
 // the file is truncated, or if a payload/block checksum does not match.
-// Legacy version-1 files without a checksum are still accepted. The
-// result is fully resident; use OpenLazy for the demand-paged mode.
+// The result is fully resident; use OpenLazy for the demand-paged mode.
 func Load(r io.Reader, g *hin.Graph) (*Index, error) {
 	br := bufio.NewReader(r)
 	version, n, nw, t, edges, err := readHeader(br)
@@ -181,26 +176,23 @@ func Load(r io.Reader, g *hin.Graph) (*Index, error) {
 		return nil, err
 	}
 	switch version {
-	case FormatV1, FormatV2:
-		return loadFlat(br, g, version == FormatV2, n, nw, t, edges)
+	case FormatV2:
+		return loadFlat(br, g, n, nw, t, edges)
 	case FormatV3:
 		return loadV3(br, g, n, nw, t, edges)
 	default:
-		return nil, fmt.Errorf("walk: unsupported index version %d (supported: %d, %d, %d)",
-			version, FormatV1, FormatV2, FormatV3)
+		return nil, fmt.Errorf("walk: unsupported index version %d (supported: %d, %d)",
+			version, FormatV2, FormatV3)
 	}
 }
 
-// loadFlat reads the v1/v2 flat int32 payload.
-func loadFlat(br *bufio.Reader, g *hin.Graph, checked bool, n, nw, t, edges int) (*Index, error) {
-	var wantCRC uint32
-	if checked {
-		var buf [4]byte
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("walk: reading checksum: %w", err)
-		}
-		wantCRC = binary.LittleEndian.Uint32(buf[:])
+// loadFlat reads the v2 flat int32 payload and verifies its checksum.
+func loadFlat(br *bufio.Reader, g *hin.Graph, n, nw, t, edges int) (*Index, error) {
+	var crcBuf [4]byte
+	if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
+		return nil, fmt.Errorf("walk: reading checksum: %w", err)
 	}
+	wantCRC := binary.LittleEndian.Uint32(crcBuf[:])
 	if err := checkDims(g, n, nw, t, edges); err != nil {
 		return nil, err
 	}
@@ -221,16 +213,14 @@ func loadFlat(br *bufio.Reader, g *hin.Graph, checked bool, n, nw, t, edges int)
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, fmt.Errorf("walk: truncated walk data (step %d of %d): %w", i, total, err)
 		}
-		if checked {
-			gotCRC = crc32.Update(gotCRC, crc32.IEEETable, buf)
-		}
+		gotCRC = crc32.Update(gotCRC, crc32.IEEETable, buf)
 		step := int32(binary.LittleEndian.Uint32(buf))
 		if step != Stop && (step < 0 || int(step) >= n) {
 			return nil, fmt.Errorf("walk: corrupt walk step %d at offset %d", step, i)
 		}
 		ix.walks = append(ix.walks, step)
 	}
-	if checked && gotCRC != wantCRC {
+	if gotCRC != wantCRC {
 		return nil, fmt.Errorf("walk: checksum mismatch (stored %08x, computed %08x): file corrupt",
 			wantCRC, gotCRC)
 	}

@@ -109,8 +109,8 @@ func TestLoadRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-// legacyBytes rewrites a v2 serialization as the legacy v1 layout: same
-// header without the crc32 word, version stamped 1.
+// legacyBytes rewrites a v2 serialization as the retired v1 layout: same
+// header without the crc32 word, version stamped 1. Load must reject it.
 func legacyBytes(v2 []byte) []byte {
 	c := make([]byte, 0, len(v2)-4)
 	c = append(c, v2[:4]...)   // magic
@@ -122,8 +122,8 @@ func legacyBytes(v2 []byte) []byte {
 
 // TestLoadChecksum pins the v2 checksum behavior: a single flipped bit
 // anywhere in the walk payload (that stays in node range) is rejected
-// with a checksum error, while the same payload in the legacy v1 layout
-// still loads.
+// with a checksum error, and the same payload in the retired,
+// checksum-free v1 layout is rejected as an unsupported version.
 func TestLoadChecksum(t *testing.T) {
 	g := braid(t, 10)
 	ix, err := Build(g, Options{NumWalks: 4, Length: 5, Seed: 7})
@@ -150,32 +150,17 @@ func TestLoadChecksum(t *testing.T) {
 		t.Fatalf("want checksum mismatch error, got: %v", err)
 	}
 
-	// The untouched file and its legacy rewrite both load, with
-	// identical walks.
-	v2, err := Load(bytes.NewReader(data), g)
-	if err != nil {
+	// The untouched file loads; its v1 rewrite, intact or bit-flipped,
+	// is refused before any payload is read: with no checksum, v1 could
+	// not tell the two apart.
+	if _, err := Load(bytes.NewReader(data), g); err != nil {
 		t.Fatalf("Load v2: %v", err)
 	}
-	v1, err := Load(bytes.NewReader(legacyBytes(data)), g)
-	if err != nil {
-		t.Fatalf("Load legacy v1: %v", err)
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		for i := 0; i < v2.NumWalks(); i++ {
-			a, b := v2.Walk(hin.NodeID(v), i), v1.Walk(hin.NodeID(v), i)
-			for s := range a {
-				if a[s] != b[s] {
-					t.Fatalf("legacy walk (%d,%d) differs at step %d", v, i, s)
-				}
-			}
+	for _, legacy := range [][]byte{legacyBytes(data), legacyBytes(bent)} {
+		_, err := Load(bytes.NewReader(legacy), g)
+		if err == nil || !strings.Contains(err.Error(), "unsupported index version 1") {
+			t.Fatalf("want unsupported index version 1 error, got: %v", err)
 		}
-	}
-
-	// The same bit flip in the legacy layout is invisible (no checksum):
-	// this is exactly the gap v2 closes.
-	bentLegacy := legacyBytes(bent)
-	if _, err := Load(bytes.NewReader(bentLegacy), g); err != nil {
-		t.Fatalf("legacy load should not detect payload bit rot, got: %v", err)
 	}
 
 	// Truncations are reported as such, not as checksum noise.

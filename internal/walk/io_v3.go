@@ -256,7 +256,7 @@ func (ix *Index) writeToV3(w io.Writer, blockBytes int) (int64, error) {
 		}
 		payload = payload[:0]
 		for v := lo; v < hi; v++ {
-			payload = appendNodeV3(payload, ix.g, hin.NodeID(v), ix.View(hin.NodeID(v)))
+			payload = appendNodeV3(payload, ix.g, hin.NodeID(v), ix.View(hin.NodeID(v), nil))
 		}
 		if err := vw.writeBlock(payload); err != nil {
 			return vw.written, err

@@ -290,19 +290,16 @@ type lazyStore struct {
 	closed       atomic.Bool
 }
 
-// view returns node v's walks, decoding v's block if it is cold. A
-// decode failure (I/O error or corruption discovered mid-serve) cannot
-// surface an error on the query path, so it degrades to a
-// stopped-at-origin view — walks of length 1 never meet anything, so
-// the node scores zero against all others — while the error is counted
-// and kept for DecodeErrors/LastDecodeErr.
-func (ls *lazyStore) view(v hin.NodeID) NodeView { return ls.viewCost(v, nil) }
-
-// viewCost is view with per-query cost accounting: the block-cache
-// outcome is charged to co (nil co disables, making this exactly view).
-// Overlay blocks are plain resident memory — neither the cache counters
-// nor the per-query cost count them.
-func (ls *lazyStore) viewCost(v hin.NodeID, co *obs.Cost) NodeView {
+// view returns node v's walks, decoding v's block if it is cold, and
+// charges the block-cache outcome to co (nil co disables the
+// accounting). Overlay blocks are plain resident memory — neither the
+// cache counters nor the per-query cost count them. A decode failure
+// (I/O error or corruption discovered mid-serve) cannot surface an
+// error on the query path, so it degrades to a stopped-at-origin view —
+// walks of length 1 never meet anything, so the node scores zero
+// against all others — while the error is counted and kept for
+// DecodeErrors/LastDecodeErr.
+func (ls *lazyStore) view(v hin.NodeID, co *obs.Cost) NodeView {
 	b := int(v) / ls.bn
 	blk := ls.overlay[b]
 	if blk == nil {

@@ -121,11 +121,11 @@ func TestLazyEvictionDuringRead(t *testing.T) {
 	opts := Options{NumWalks: 8, Length: 6, Seed: 9}
 	resident, lazy := lazyFixture(t, g, opts, 1024, 2000, nil)
 
-	held := lazy.View(0)
+	held := lazy.View(0, nil)
 	// Touch every node: with a ~1-block budget this evicts node 0's
 	// block many times over.
 	for v := 0; v < g.NumNodes(); v++ {
-		_ = lazy.View(hin.NodeID(v))
+		_ = lazy.View(hin.NodeID(v), nil)
 	}
 	for i := 0; i < opts.NumWalks; i++ {
 		a, b := resident.Walk(0, i), held.Walk(i)

@@ -123,7 +123,7 @@ func (m *MeetIndex) scan(lo, hi int, fill bool) {
 	for v0 := 0; v0 < n; v0 += meetChunk {
 		views = views[:0]
 		for v := v0; v < min(v0+meetChunk, n); v++ {
-			views = append(views, ix.View(hin.NodeID(v)))
+			views = append(views, ix.View(hin.NodeID(v), nil))
 		}
 		for i := lo; i < hi; i++ {
 			base := i * ix.stride * n
@@ -219,7 +219,7 @@ func (m *MeetIndex) CollisionsAppend(buf []Collision, u hin.NodeID) []Collision 
 	// Walks and steps ascend, so the first time a source shows up in
 	// walk i's cells is its first meeting in walk i.
 	raw := sc.raw[:0]
-	vu := ix.View(u)
+	vu := ix.View(u, nil)
 	for i := 0; i < ix.nw; i++ {
 		w := vu.Walk(i)
 		stamp := int32(i + 1)

@@ -187,7 +187,7 @@ func TestLoadV3DistinctErrors(t *testing.T) {
 }
 
 // TestConvertRoundTrip pins the format-conversion contract behind
-// `semsim convert`: v1/v2/v3 all load to identical walks, and
+// `semsim convert`: v2 and v3 load to identical walks, and
 // re-serializing in either direction reaches a byte-stable fixpoint.
 func TestConvertRoundTrip(t *testing.T) {
 	g := braid(t, 17)

@@ -221,25 +221,13 @@ func (nv NodeView) Walk(i int) []int32 {
 // Len reports the number of live (non-Stop) positions of walk i.
 func (nv NodeView) Len(i int) int { return int(nv.lens[i]) }
 
-// View returns the walk view of node v.
-func (ix *Index) View(v hin.NodeID) NodeView {
+// View returns the walk view of node v. On a lazy index the
+// block-cache outcome (a hit, or a miss plus the bytes decoded) is
+// charged to co; a nil co disables the accounting, and a resident index
+// has nothing to charge.
+func (ix *Index) View(v hin.NodeID, co *obs.Cost) NodeView {
 	if ix.lazy != nil {
-		return ix.lazy.view(v)
-	}
-	base := int(v) * ix.nw
-	return NodeView{
-		walks:  ix.walks[base*ix.stride : (base+ix.nw)*ix.stride],
-		lens:   ix.lens[base : base+ix.nw],
-		stride: ix.stride,
-	}
-}
-
-// ViewCost is View with per-query cost accounting: on a lazy index the
-// block-cache outcome (hit, or miss plus decoded bytes) is charged to
-// co. A nil co or a resident index behaves exactly like View.
-func (ix *Index) ViewCost(v hin.NodeID, co *obs.Cost) NodeView {
-	if ix.lazy != nil {
-		return ix.lazy.viewCost(v, co)
+		return ix.lazy.view(v, co)
 	}
 	base := int(v) * ix.nw
 	return NodeView{
@@ -284,7 +272,7 @@ func (ix *Index) Length() int { return ix.t }
 // the same node should fetch one View instead.
 func (ix *Index) Walk(v hin.NodeID, i int) []int32 {
 	if ix.lazy != nil {
-		return ix.lazy.view(v).Walk(i)
+		return ix.lazy.view(v, nil).Walk(i)
 	}
 	return ix.slot(v, i)
 }
@@ -299,7 +287,7 @@ func (ix *Index) Walk(v hin.NodeID, i int) []int32 {
 // per-step Stop checks.
 func (ix *Index) Meet(u, v hin.NodeID, i int) (tau int, ok bool) {
 	if ix.lazy != nil {
-		return MeetViews(ix.lazy.view(u), ix.lazy.view(v), i)
+		return MeetViews(ix.lazy.view(u, nil), ix.lazy.view(v, nil), i)
 	}
 	su := int(u)*ix.nw + i
 	sv := int(v)*ix.nw + i
@@ -322,7 +310,7 @@ func (ix *Index) Meet(u, v hin.NodeID, i int) (tau int, ok bool) {
 // it instead of testing each step against Stop.
 func (ix *Index) WalkLen(v hin.NodeID, i int) int {
 	if ix.lazy != nil {
-		return ix.lazy.view(v).Len(i)
+		return ix.lazy.view(v, nil).Len(i)
 	}
 	return int(ix.lens[int(v)*ix.nw+i])
 }

@@ -198,7 +198,7 @@ func assertEpochRef(t *testing.T, s *snapshot, name string, opts IndexOptions) {
 			if err != nil {
 				t.Fatalf("reference score(%d,%d): %v", u, v, err)
 			}
-			if w, _ := want.Query(NodeID(u), NodeID(v)); got != w {
+			if w, _ := want.Query(NodeID(u), NodeID(v), nil); got != w {
 				t.Fatalf("shadow reference scores (%d,%d) = %v, a %s backend %v", u, v, got, name, w)
 			}
 		}

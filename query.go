@@ -263,14 +263,16 @@ type snapshot struct {
 }
 
 // shadowRef is an epoch's built shadow reference. score is the
-// backend's Query bound once, so queueing a sample does not allocate.
+// backend's uncosted Query, bound once per epoch, so queueing a sample
+// does not allocate.
 type shadowRef struct {
 	score func(u, v NodeID) (float64, error)
 }
 
 // setRef publishes eng as the epoch's shadow reference.
 func (snap *snapshot) setRef(eng engine.Backend) {
-	snap.ref.Store(&shadowRef{score: eng.Query})
+	score := func(u, v NodeID) (float64, error) { return eng.Query(u, v, nil) }
+	snap.ref.Store(&shadowRef{score: score})
 	close(snap.refReady)
 }
 
@@ -683,17 +685,10 @@ func (ix *Index) KernelMode() string {
 }
 
 // Query estimates the SemSim score of (u,v) in [0,1] via the selected
-// backend. Node IDs are bounds-checked: an id outside the graph scores
-// 0 instead of indexing walk storage unchecked.
-func (ix *Index) Query(u, v NodeID) float64 {
-	s := ix.snap.Load()
-	score, err := s.eng.Query(u, v)
-	if err != nil {
-		return 0
-	}
-	ix.offerShadow(s, u, v, score)
-	return score
-}
+// backend: QueryCost without cost accounting. Node IDs are
+// bounds-checked: an id outside the graph scores 0 instead of indexing
+// walk storage unchecked.
+func (ix *Index) Query(u, v NodeID) float64 { return ix.QueryCost(u, v, nil) }
 
 // offerShadow hands a served score to the shadow verifier. Only the
 // sampled 1-in-ShadowRate offer looks at the epoch's reference: it is
@@ -711,18 +706,14 @@ func (ix *Index) offerShadow(s *snapshot, u, v NodeID, score float64) {
 	ix.shadow.Check(u, v, score, scorer)
 }
 
-// QueryCost is Query additionally charging the work performed — walk
-// steps scanned, SO-cache hits/misses, kernel probes, lazy walk-block
-// decodes — to co (see Cost). Scores are bit-identical to Query, and a
-// nil co disables the accounting. On a backend without cost support the
-// query is answered plain and co stays untouched.
+// QueryCost estimates the SemSim score of (u,v) like Query, charging
+// the work performed — walk steps scanned, SO-cache hits/misses, kernel
+// probes, lazy walk-block decodes — to co (see Cost). A nil co disables
+// the accounting; the score is the same either way. The exact-family
+// backends answer from a solved matrix and leave co untouched.
 func (ix *Index) QueryCost(u, v NodeID, co *Cost) float64 {
 	s := ix.snap.Load()
-	cr, ok := s.eng.(engine.CostRunner)
-	if !ok {
-		return ix.Query(u, v)
-	}
-	score, err := cr.QueryCost(u, v, co)
+	score, err := s.eng.Query(u, v, co)
 	if err != nil {
 		return 0
 	}
@@ -738,24 +729,7 @@ func (ix *Index) QueryCost(u, v NodeID, co *Cost) float64 {
 // it never perturbs it. An out-of-range node returns an error wrapping
 // ErrNodeOutOfRange.
 func (ix *Index) ExplainQuery(u, v NodeID) (*Explanation, error) {
-	s := ix.snap.Load()
-	if ex, ok := s.eng.(engine.Explainer); ok {
-		return ex.Explain(u, v)
-	}
-	// A backend without explain support still yields the score and a
-	// degenerate evidence record, so callers can treat /explain as
-	// universally available.
-	score, err := s.eng.Query(u, v)
-	if err != nil {
-		return nil, err
-	}
-	return &Explanation{
-		U: int(u), V: int(v),
-		Backend: s.eng.Name(), Exact: s.eng.Caps().Exact,
-		Score: score, Mean: score, CILow: score, CIHigh: score,
-		CIConfidence: quality.Confidence,
-		SOCacheMode:  "none",
-	}, nil
+	return ix.snap.Load().eng.Explain(u, v)
 }
 
 // Close releases the index's background machinery: the shadow
@@ -802,24 +776,14 @@ func (ix *Index) PlanStrategy(k int) string {
 // planner; otherwise the historical static routing applies — the
 // collision path when a meet index exists (IndexOptions.MeetIndex), the
 // brute scan otherwise. All strategies return the identical result set.
-// An out-of-range u returns nil.
-func (ix *Index) TopK(u NodeID, k int) []Scored {
-	out, err := ix.snap.Load().eng.TopK(u, k)
-	if err != nil {
-		return nil
-	}
-	return out
-}
+// An out-of-range u returns nil. TopK is TopKCost without cost
+// accounting.
+func (ix *Index) TopK(u NodeID, k int) []Scored { return ix.TopKCost(u, k, nil) }
 
-// TopKCost is TopK additionally charging the scan's work to co (see
-// Cost). Results are identical to TopK; a nil co disables the
-// accounting, and a backend without cost support answers plain.
+// TopKCost answers TopK, charging the scan's work to co (see Cost). A
+// nil co disables the accounting; the result is the same either way.
 func (ix *Index) TopKCost(u NodeID, k int, co *Cost) []Scored {
-	cr, ok := ix.snap.Load().eng.(engine.CostRunner)
-	if !ok {
-		return ix.TopK(u, k)
-	}
-	out, err := cr.TopKCost(u, k, co)
+	out, err := ix.snap.Load().eng.TopK(u, k, co)
 	if err != nil {
 		return nil
 	}
@@ -883,17 +847,6 @@ func (ix *Index) CacheSummary() CacheSummary {
 		return CacheSummary{}
 	}
 	return s.cache.Summary()
-}
-
-// CacheStats reports the SLING cache's aggregate hit/miss counters
-// (zeros when the cache is disabled).
-//
-// Deprecated: use CacheSummary, which also carries the derived hit
-// ratio — dividing two separately read counters under live traffic
-// skews the ratio.
-func (ix *Index) CacheStats() (hits, misses int64) {
-	s := ix.CacheSummary()
-	return s.Hits, s.Misses
 }
 
 // Snapshot copies every metric the index has recorded — counters,
