@@ -14,11 +14,11 @@
 #      cmd/loadgen for ~5s and asserts nonzero throughput, zero 5xx
 #      and a sane p99 (the serving-SLO smoke: burn-rate gauges,
 #      build_info and the profile counters are all in the linted
-#      scrape, and the trace log fills with sampled spans), then the
-#      diagnostics smoke: the flight recorder and heavy-hitters
-#      endpoints are live, the per-query cost histograms observed the
-#      traffic, and `semsim diag` pulls /debug/diag into a bundle whose
-#      flight records join the query log by request ID, and the
+#      scrape), then the diagnostics smoke: the flight recorder and
+#      heavy-hitters endpoints are live, the per-query cost histograms
+#      observed the traffic, and `semsim diag` pulls /debug/diag into a
+#      bundle whose flight records join the query log by request ID,
+#      with /query events in both carrying their phase durations, and the
 #      capacity smoke: datagen -stream emits a v3 walk file, convert
 #      round-trips it through v2, and serve answers from it demand-paged
 #      (-lazy-walks) under a tiny block-cache budget
@@ -76,7 +76,6 @@ go run ./cmd/datagen -dataset aminer -size 200 -seed 1 -out "$tmpdir/smoke.hin"
     -nw 40 -t 6 -query-log "$tmpdir/query.ndjson" -query-log-max-bytes 262144 \
     -query-log-max-generations 8 \
     -slo-latency 250ms -slo-window 1m \
-    -trace-log "$tmpdir/trace.ndjson" -trace-sample 0.1 \
     -profile-p99 2s 2> "$tmpdir/serve.log" &
 serve_pid=$!
 addr=""
@@ -102,7 +101,7 @@ grep -o '"throughput_qps": [0-9.]*' "$tmpdir/loadgen.json" \
 grep -o '"final_epoch": [0-9]*' "$tmpdir/loadgen.json" \
     || { echo "ci: loadgen report missing the mutation epoch"; exit 1; }
 # Re-lint the scrape after real traffic: the burn-rate gauges, the
-# HTTP/trace-log counters and the commit/epoch series are now nonzero
+# HTTP/query-log counters and the commit/epoch series are now nonzero
 # and must still be clean.
 go run ./cmd/promlint -url "http://$addr/metrics"
 # Queries raced an epoch's worth of commits: the epoch gauge moved, no
@@ -140,8 +139,10 @@ for entry in metrics.prom expvar.json flight.ndjson profiles.json slo.json heavy
     [ -s "$tmpdir/diag/$entry" ] \
         || { cat "$tmpdir/diag.log"; echo "ci: diag bundle entry $entry missing or empty"; exit 1; }
 done
-[ -f "$tmpdir/diag/traces.ndjson" ] \
-    || { echo "ci: diag bundle entry traces.ndjson missing"; exit 1; }
+# A read's event carries its phase split: resolve, score and encode.
+phases='"endpoint":"/query".*"resolve_ns":[1-9][0-9]*,"score_ns":[1-9][0-9]*,"encode_ns":[1-9]'
+grep -q "$phases" "$tmpdir/diag/flight.ndjson" \
+    || { echo "ci: no bundled /query flight record carries its phase durations"; exit 1; }
 grep -q '"enabled": true' "$tmpdir/diag/slo.json" \
     || { echo "ci: diag slo.json does not reflect the armed SLO tracker"; exit 1; }
 # The bundled flight dump joins to the query log by request ID. The
@@ -158,10 +159,11 @@ kill "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
 [ -f "$tmpdir/query.ndjson" ] || { echo "ci: -query-log file was never created"; exit 1; }
-[ -s "$tmpdir/trace.ndjson" ] || { echo "ci: -trace-log never received a sampled trace"; exit 1; }
+cat "$tmpdir"/query.ndjson* | grep -q "$phases" \
+    || { echo "ci: no /query line of the query log carries its phase durations"; exit 1; }
 grep -q "final metrics snapshot" "$tmpdir/serve.log" \
     || { echo "ci: serve shutdown never logged the final snapshot"; exit 1; }
-echo "    loadgen smoke green (report at loadgen.json, traces sampled, final snapshot logged)"
+echo "    loadgen smoke green (report at loadgen.json, phases logged, final snapshot logged)"
 
 echo "==> tier 1: streaming v3 build + lazy serve smoke"
 # End to end million-node-capacity path at smoke scale: datagen -stream

@@ -20,12 +20,13 @@
 // demand-paged through a bounded block cache instead of loading it
 // whole. serve additionally takes -debug-addr (required),
 // -warmup, -shadow-rate/-shadow-backend (sampled shadow verification on
-// an exact reference backend), -query-log/-query-log-max-bytes (JSON
-// wide-event log with optional size rotation), -health-interval
-// (runtime telemetry cadence), -slo-latency/-slo-objective/-slo-window
-// (multi-window burn-rate SLO gauges), -trace-log/-trace-sample
-// (sampled span-trace export) and -profile-p99 and friends
-// (anomaly-triggered CPU+heap profiling at /debug/profiles); it mounts
+// an exact reference backend), -query-log/-query-log-max-bytes (every
+// request's wide event — the flight recorder's record, phase durations
+// included — as a JSON line, with optional size rotation),
+// -health-interval (runtime telemetry cadence),
+// -slo-latency/-slo-objective/-slo-window (multi-window burn-rate SLO
+// gauges) and -profile-p99 and friends (anomaly-triggered CPU+heap
+// profiling at /debug/profiles); it mounts
 // /metrics, /debug/vars, /debug/pprof/ and /healthz next to the query
 // API (including /explain estimate-quality traces), and shuts down
 // gracefully on SIGINT/SIGTERM (in-flight requests drain, a final
@@ -91,7 +92,7 @@ func main() {
 		shadowBackend = fs.String("shadow-backend", "",
 			"serve: reference backend for shadow verification (linear|exact|reduced; empty reuses an exact -backend, else linear up to its node cap and none above it)")
 		queryLog = fs.String("query-log", "",
-			"serve: append one JSON wide event per request to this file ('-' = stdout)")
+			"serve: append every API request's wide event (the flight recorder's record) as a JSON line to this file ('-' = stdout)")
 		queryLogMax = fs.Int64("query-log-max-bytes", 0,
 			"serve: rotate the query log when it would exceed this size (0 = no rotation)")
 		queryLogGens = fs.Int("query-log-max-generations", 1,
@@ -104,10 +105,6 @@ func main() {
 			"serve: SLO objective as a good-request fraction in (0,1)")
 		sloWindow = fs.Duration("slo-window", 5*time.Minute,
 			"serve: short burn-rate window (the long window is 12x this)")
-		traceLog = fs.String("trace-log", "",
-			"serve: append sampled span traces as JSON lines to this file ('-' = stdout)")
-		traceSample = fs.Float64("trace-sample", 0.01,
-			"serve: fraction of requests to trace into -trace-log")
 		profileP99 = fs.Duration("profile-p99", 0,
 			"serve: capture a CPU+heap profile pair into /debug/profiles when the inter-poll query p99 exceeds this (0 = off)")
 		profileInterval = fs.Duration("profile-interval", 0,
@@ -258,8 +255,6 @@ func main() {
 			sloLatency:       *sloLatency,
 			sloObjective:     *sloObjective,
 			sloWindow:        *sloWindow,
-			traceLogPath:     *traceLog,
-			traceSample:      *traceSample,
 			profileP99:       *profileP99,
 			profileInterval:  *profileInterval,
 			profileCooldown:  *profileCooldown,

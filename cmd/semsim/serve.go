@@ -42,8 +42,11 @@ package main
 // /healthz flip. Every API request is assigned a request ID — taken
 // from an X-Semsim-Request header when the caller sent a well-formed
 // one, generated otherwise — echoed back in the same header and stamped
-// into the wide-event query log and the sampled trace log, so one ID
-// follows a request across process boundaries.
+// into the request's one wide event (flight.Record), so one ID follows a
+// request across process boundaries. That event carries the request's
+// identity, outcome, phase durations (resolve, score or commit, encode)
+// and cost; the flight ring at /debug/flight keeps the latest 4096, and
+// -query-log writes every one as a line.
 //
 // The estimate-quality layer is on by default: the shadow verifier
 // re-scores 1 in -shadow-rate queries on an exact reference backend —
@@ -56,15 +59,14 @@ package main
 // health collector
 // polls memory/GC/goroutine gauges every -health-interval
 // (semsim_runtime_* series). With -query-log PATH ("-" for stdout)
-// every request emits one structured JSON wide event
-// (-query-log-max-bytes adds size-based rotation, keeping
-// -query-log-max-generations rotated files PATH.1..PATH.N). The
+// every API request's event is written as one JSON line, errors and
+// /mutate included (-query-log-max-bytes adds size-based rotation,
+// keeping -query-log-max-generations rotated files PATH.1..PATH.N). The
 // serving-SLO layer is opt-in: -slo-latency sets the latency objective
 // threshold and enables the multi-window burn-rate gauges
-// (semsim_slo_*); -trace-log/-trace-sample write exported span traces
-// as NDJSON for the sampled request subset; -profile-p99 arms the
-// anomaly profiler, which captures a CPU+heap pprof pair into
-// /debug/profiles when the inter-poll p99 crosses the threshold.
+// (semsim_slo_*); -profile-p99 arms the anomaly profiler, which
+// captures a CPU+heap pprof pair into /debug/profiles when the
+// inter-poll p99 crosses the threshold.
 //
 // A connection that has not sent its request headers within 10s is
 // closed, as is a keep-alive connection idle for 2 minutes; responses
@@ -95,6 +97,7 @@ import (
 	"os/signal"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -119,10 +122,11 @@ type serveConfig struct {
 	// demand-pages) the walk index from this file instead of sampling at
 	// startup.
 	walksPath string
-	// queryLogPath, when non-empty, streams one JSON wide event per
-	// request to this file ("-" = stdout). queryLogMaxBytes > 0 adds
-	// size-based rotation keeping queryLogMaxGens rotated generations
-	// (PATH.1 newest; 0 or 1 keeps the historical single .1).
+	// queryLogPath, when non-empty, streams every API request's event
+	// (flight.Record) as a JSON line to this file ("-" = stdout).
+	// queryLogMaxBytes > 0 adds size-based rotation keeping
+	// queryLogMaxGens rotated generations (PATH.1 newest; 0 or 1 keeps
+	// the historical single .1).
 	queryLogPath     string
 	queryLogMaxBytes int64
 	queryLogMaxGens  int
@@ -136,11 +140,6 @@ type serveConfig struct {
 	sloLatency   time.Duration
 	sloObjective float64
 	sloWindow    time.Duration
-	// traceLogPath, when non-empty, writes exported span traces for a
-	// sampled fraction of requests ("-" = stdout) at traceSample
-	// (default 0.01).
-	traceLogPath string
-	traceSample  float64
 	// profileP99 arms the anomaly profiler: when the inter-poll p99 of
 	// semsim_query_seconds exceeds it, a CPU+heap profile pair is
 	// captured (0 = off). Interval/cooldown/ring default to
@@ -259,22 +258,6 @@ func runServe(g *semsim.Graph, sem semsim.Measure, cfg serveConfig, ready chan<-
 		}, reg)
 	}
 
-	var tlog *obs.TraceLog
-	var sampler *obs.Sampler
-	if cfg.traceLogPath != "" {
-		w, closeTrace, err := openLogSink(cfg.traceLogPath, 0, 0)
-		if err != nil {
-			return fail(err)
-		}
-		defer closeTrace()
-		tlog = obs.NewTraceLog(w, reg)
-		rate := cfg.traceSample
-		if rate <= 0 {
-			rate = 0.01
-		}
-		sampler = obs.NewSampler(rate, cfg.opts.Seed)
-	}
-
 	watcher := profwatch.Start(profwatch.Config{
 		Hist:      reg.Histogram("semsim_query_seconds", "", nil),
 		Threshold: cfg.profileP99,
@@ -305,7 +288,7 @@ func runServe(g *semsim.Graph, sem semsim.Measure, cfg serveConfig, ready chan<-
 	runtime.GC()
 
 	reg.PublishExpvar("semsim")
-	so := newServeObs(reg, qlog, tlog, sampler, tracker, watcher)
+	so := newServeObs(reg, qlog, tracker, watcher)
 	handler.Store(newServeMux(idx, so))
 
 	fmt.Fprintf(logw, "semsim: serving on http://%s (backend %s, metrics at /metrics, expvar at /debug/vars, pprof at /debug/pprof/)\n",
@@ -357,7 +340,7 @@ func warmingMux() *http.ServeMux {
 	return mux
 }
 
-// openLogSink resolves an NDJSON log destination: "-" streams to
+// openLogSink resolves the query log's destination: "-" streams to
 // stdout, anything else appends to the named file — through a
 // size-rotating writer when maxBytes > 0, keeping maxGens rotated
 // generations (values < 1 mean the historical single .1).
@@ -379,10 +362,10 @@ func openLogSink(path string, maxBytes int64, maxGens int) (io.Writer, func(), e
 	return f, func() { f.Close() }, nil
 }
 
-// registerBuildInfo exports the constant-1 semsim_build_info gauge whose
-// labels identify this process's serving configuration, so scrape-side
-// dashboards can correlate latency shifts with config changes.
-func registerBuildInfo(reg *semsim.Metrics, idx *semsim.Index) {
+// servingIdentity lists, as label pairs, the serving configuration that
+// both the semsim_build_info labels and the diag bundle's
+// buildinfo.json report, so the two cannot disagree.
+func servingIdentity(idx *semsim.Index) []string {
 	kernel := idx.KernelMode()
 	if kernel == "" {
 		kernel = "none"
@@ -391,12 +374,20 @@ func registerBuildInfo(reg *semsim.Metrics, idx *semsim.Index) {
 	if idx.LazyWalks() {
 		residency = "lazy"
 	}
-	reg.GaugeFunc(obs.SeriesName("semsim_build_info",
+	return []string{
 		"backend", idx.Backend(),
 		"kernel", kernel,
 		"walk_format", strconv.Itoa(walk.FormatVersion),
 		"walk_residency", residency,
-		"go", runtime.Version()),
+		"go", runtime.Version(),
+	}
+}
+
+// registerBuildInfo exports the constant-1 semsim_build_info gauge whose
+// labels identify this process's serving configuration, so scrape-side
+// dashboards can correlate latency shifts with config changes.
+func registerBuildInfo(reg *semsim.Metrics, idx *semsim.Index) {
+	reg.GaugeFunc(obs.SeriesName("semsim_build_info", servingIdentity(idx)...),
 		"Serving configuration identity (constant 1; the labels carry the information).",
 		func() float64 { return 1 })
 }
@@ -404,8 +395,8 @@ func registerBuildInfo(reg *semsim.Metrics, idx *semsim.Index) {
 // writeDiagBundle streams the diagnostics tar.gz: one archive holding
 // every observability surface a live incident review needs, captured at
 // a single instant — the Prometheus exposition, expvar state, the
-// flight-recorder dump, the retained trace records, the anomaly-profile
-// ring index, SLO burn rates, heavy hitters and the serving identity.
+// flight-recorder dump, the anomaly-profile ring index, SLO burn rates,
+// heavy hitters and the serving identity.
 // Entries are rendered to memory first (tar needs sizes up front); all
 // of them are bounded rings or snapshots, so the bundle stays small.
 func writeDiagBundle(w io.Writer, idx *semsim.Index, so *serveObs) error {
@@ -447,31 +438,14 @@ func writeDiagBundle(w io.Writer, idx *semsim.Index, so *serveObs) error {
 	var fl bytes.Buffer
 	so.flightRing.Dump(&fl)
 
-	var traces bytes.Buffer
-	for _, rec := range so.traceSnapshot() {
-		if line, err := json.Marshal(rec); err == nil {
-			traces.Write(line)
-			traces.WriteByte('\n')
-		}
-	}
-
-	kernel := idx.KernelMode()
-	if kernel == "" {
-		kernel = "none"
-	}
-	residency := "resident"
-	if idx.LazyWalks() {
-		residency = "lazy"
-	}
 	buildinfo := map[string]any{
-		"time":           now,
-		"backend":        idx.Backend(),
-		"kernel":         kernel,
-		"walk_format":    walk.FormatVersion,
-		"walk_residency": residency,
-		"epoch":          idx.Epoch(),
-		"nodes":          idx.Graph().NumNodes(),
-		"go":             runtime.Version(),
+		"time":  now,
+		"epoch": idx.Epoch(),
+		"nodes": idx.Graph().NumNodes(),
+	}
+	id := servingIdentity(idx)
+	for i := 0; i < len(id); i += 2 {
+		buildinfo[id[i]] = id[i+1]
 	}
 
 	entries := []struct {
@@ -481,7 +455,6 @@ func writeDiagBundle(w io.Writer, idx *semsim.Index, so *serveObs) error {
 		{"metrics.prom", prom.Bytes()},
 		{"expvar.json", ev.Bytes()},
 		{"flight.ndjson", fl.Bytes()},
-		{"traces.ndjson", traces.Bytes()},
 		{"profiles.json", asJSON(map[string]any{"captures": so.watcher.Captures()})},
 		{"slo.json", asJSON(so.slo.Snapshot())},
 		{"heavy.json", asJSON(map[string]any{
@@ -562,12 +535,10 @@ const requestIDHeader = "X-Semsim-Request"
 // is off); the wrap path is nil-safe throughout, per the obs
 // convention.
 type serveObs struct {
-	reg      *semsim.Metrics
-	qlog     *quality.QueryLog
-	tracelog *obs.TraceLog
-	sampler  *obs.Sampler
-	slo      *slo.Tracker
-	watcher  *profwatch.Watcher
+	reg     *semsim.Metrics
+	qlog    *quality.QueryLog
+	slo     *slo.Tracker
+	watcher *profwatch.Watcher
 
 	httpHist *obs.Histogram
 	reqTotal map[string]*obs.Counter
@@ -581,14 +552,6 @@ type serveObs struct {
 	heavy      *obs.HeavyHitters
 	flightRing *flight.Ring
 
-	// recentTraces is a small ring of the latest exported trace records
-	// kept in memory for the diagnostics bundle, so traces are available
-	// even when no -trace-log file is configured.
-	traceMu      sync.Mutex
-	recentTraces []obs.TraceRecord
-	traceNext    int
-	traceCount   int
-
 	idBase string
 	idSeq  atomic.Uint64
 }
@@ -601,16 +564,12 @@ const flightRingSize = 4096
 // heavyCapacity bounds the heavy-hitters sketch (distinct tracked keys).
 const heavyCapacity = 64
 
-// recentTraceCap bounds the in-memory trace ring bundled by /debug/diag.
-const recentTraceCap = 256
-
 // newServeObs registers the HTTP-layer series and draws the random
 // request-ID prefix that makes IDs from different processes distinct.
-func newServeObs(reg *semsim.Metrics, qlog *quality.QueryLog, tlog *obs.TraceLog,
-	sampler *obs.Sampler, tracker *slo.Tracker, watcher *profwatch.Watcher) *serveObs {
+func newServeObs(reg *semsim.Metrics, qlog *quality.QueryLog, tracker *slo.Tracker,
+	watcher *profwatch.Watcher) *serveObs {
 	so := &serveObs{
-		reg: reg, qlog: qlog, tracelog: tlog, sampler: sampler,
-		slo: tracker, watcher: watcher,
+		reg: reg, qlog: qlog, slo: tracker, watcher: watcher,
 		httpHist: reg.Histogram("semsim_http_request_seconds",
 			"End-to-end HTTP latency of the query API endpoints.", nil),
 		reqTotal:   map[string]*obs.Counter{},
@@ -632,31 +591,43 @@ func newServeObs(reg *semsim.Metrics, qlog *quality.QueryLog, tlog *obs.TraceLog
 	return so
 }
 
-// reqInfo is the per-request context the wrap layer threads through a
-// handler: the effective request ID, the sampled trace (nil when this
-// request is not sampled) and the response status for SLO error
-// classification.
+// reqInfo is a request's wide event while its handler runs: wrap stamps
+// the identity, status and timing fields of the embedded record, and
+// the handler fills in what it resolved, scored and encoded, stamping
+// each phase with lap as it completes.
 type reqInfo struct {
-	id     string
-	trace  *semsim.Trace
-	status int
-
-	// cost is the request's cost accounting, filled by handlers that run
-	// the query through a costed entry point; costed marks it live (so a
-	// zero-cost request is still observed). costKey is the heavy-hitters
-	// attribution key (the source node name); epoch and strategy annotate
-	// the flight record.
-	cost     semsim.Cost
-	costed   bool
-	costKey  string
-	epoch    uint64
-	strategy string
+	flight.Record
+	// costed marks Cost as the request's query work, so that a read
+	// which cost nothing is still observed; the heavy-hitters sketch
+	// keys it by U, the source node.
+	costed bool
+	// mark is the last phase boundary.
+	mark time.Time
 }
 
-// fail records the status and writes the shared JSON error shape.
+// maxEventError bounds the error message an event keeps: the flight
+// ring holds flightRingSize events, and a message can quote a
+// client-sent name of any length.
+const maxEventError = 256
+
+// fail writes the shared JSON error shape and records the status and
+// error in the event.
 func (ri *reqInfo) fail(w http.ResponseWriter, status int, msg string) {
-	ri.status = status
 	writeJSONError(w, status, msg)
+	if len(msg) > maxEventError {
+		// A copy, so that the event does not pin the whole message.
+		msg = strings.Clone(msg[:maxEventError])
+	}
+	ri.Status, ri.Error = status, msg
+}
+
+// lap returns the nanoseconds since the last phase boundary and makes
+// now the next one.
+func (ri *reqInfo) lap() int64 {
+	now := time.Now()
+	d := now.Sub(ri.mark)
+	ri.mark = now
+	return int64(d)
 }
 
 // requestID returns the caller-supplied ID when it is well-formed, or
@@ -688,75 +659,34 @@ func sanitizeRequestID(s string) string {
 	return s
 }
 
-// wrap is the request-instrumentation middleware for the API endpoints:
-// assigns and echoes the request ID, samples a trace, measures
-// end-to-end latency into the HTTP histogram and the SLO tracker, and
-// exports the sampled trace once the handler returns. The disabled
-// state costs a few nil checks per request.
+// wrap is the request-instrumentation middleware for the API endpoints.
+// It assigns and echoes the request ID, runs the handler on the
+// request's event, then observes that one event everywhere: the HTTP
+// latency histogram, the SLO tracker, the cost histograms and the
+// heavy-hitters sketch, the flight ring and, when one is open, the
+// query log. With the optional sinks off they cost a nil check each.
 func (so *serveObs) wrap(endpoint string, h func(http.ResponseWriter, *http.Request, *reqInfo)) http.HandlerFunc {
 	ctr := so.reqTotal[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		ri := &reqInfo{id: so.requestID(r), status: http.StatusOK}
-		w.Header().Set(requestIDHeader, ri.id)
-		if so.sampler.Sample() {
-			ri.trace = semsim.NewTrace(endpoint)
-		}
+		ri := &reqInfo{mark: t0, Record: flight.Record{
+			TimeNS: t0.UnixNano(), Endpoint: endpoint,
+			RequestID: so.requestID(r), Status: http.StatusOK,
+		}}
+		w.Header().Set(requestIDHeader, ri.RequestID)
 		h(w, r, ri)
 		lat := time.Since(t0)
+		ri.LatencyNS, ri.ErrClass = int64(lat), flight.ClassifyStatus(ri.Status)
 		ctr.Inc()
 		so.httpHist.ObserveDuration(lat)
-		so.slo.Observe(lat, ri.status >= 500)
+		so.slo.Observe(lat, ri.Status >= 500)
 		if ri.costed {
-			so.costHists.Observe(&ri.cost)
-			so.heavy.Observe(ri.costKey, ri.cost.Work())
+			so.costHists.Observe(&ri.Cost)
+			so.heavy.Observe(ri.U, ri.Cost.Work())
 		}
-		so.flightRing.Record(flight.Record{
-			TimeNS:    t0.UnixNano(),
-			Endpoint:  endpoint,
-			RequestID: ri.id,
-			Epoch:     ri.epoch,
-			Strategy:  ri.strategy,
-			Status:    ri.status,
-			ErrClass:  flight.ClassifyStatus(ri.status),
-			LatencyNS: int64(lat),
-			Cost:      ri.cost,
-		})
-		if ri.trace != nil {
-			rec := ri.trace.Export()
-			rec.Time = time.Now()
-			rec.RequestID = ri.id
-			so.tracelog.Log(rec)
-			so.keepTrace(rec)
-		}
+		so.flightRing.Record(&ri.Record)
+		so.qlog.Log(&ri.Record)
 	}
-}
-
-// keepTrace retains rec in the fixed-size in-memory ring the diag bundle
-// reads, independent of whether a trace log file is configured.
-func (so *serveObs) keepTrace(rec obs.TraceRecord) {
-	so.traceMu.Lock()
-	if so.recentTraces == nil {
-		so.recentTraces = make([]obs.TraceRecord, recentTraceCap)
-	}
-	so.recentTraces[so.traceNext] = rec
-	so.traceNext = (so.traceNext + 1) % recentTraceCap
-	if so.traceCount < recentTraceCap {
-		so.traceCount++
-	}
-	so.traceMu.Unlock()
-}
-
-// traceSnapshot copies the retained trace records oldest-first.
-func (so *serveObs) traceSnapshot() []obs.TraceRecord {
-	so.traceMu.Lock()
-	defer so.traceMu.Unlock()
-	out := make([]obs.TraceRecord, 0, so.traceCount)
-	start := so.traceNext - so.traceCount
-	for i := 0; i < so.traceCount; i++ {
-		out = append(out, so.recentTraces[(start+i+recentTraceCap)%recentTraceCap])
-	}
-	return out
 }
 
 // newServeMux mounts the query API and the debug surfaces. Handlers
@@ -765,7 +695,7 @@ func (so *serveObs) traceSnapshot() []obs.TraceRecord {
 // name resolution must see nodes added since startup.
 func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 	mux := http.NewServeMux()
-	reg, qlog := so.reg, so.qlog
+	reg := so.reg
 
 	node := func(w http.ResponseWriter, r *http.Request, g *semsim.Graph, param string, ri *reqInfo) (semsim.NodeID, bool) {
 		name := r.URL.Query().Get(param)
@@ -786,94 +716,68 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 		enc.SetIndent("", "  ")
 		enc.Encode(v)
 	}
+	// read stamps a read's event with the epoch and backend answering it
+	// and returns the graph its names resolve against.
+	read := func(ri *reqInfo) *semsim.Graph {
+		ri.Epoch, ri.Backend = idx.Epoch(), idx.Backend()
+		return idx.Graph()
+	}
 
 	mux.HandleFunc("/query", so.wrap("/query", func(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
-		t0 := time.Now()
-		g := idx.Graph()
-		sp := ri.trace.Start("resolve")
+		g := read(ri)
 		u, ok := node(w, r, g, "u", ri)
 		if !ok {
 			return
 		}
 		v, ok := node(w, r, g, "v", ri)
-		sp.End()
 		if !ok {
 			return
 		}
-		sp = ri.trace.Start("score")
-		score := idx.QueryCost(u, v, &ri.cost)
+		ri.U, ri.V = g.NodeName(u), g.NodeName(v)
+		ri.ResolveNS = ri.lap()
+		ri.Score = idx.QueryCost(u, v, &ri.Cost)
 		semScore := idx.Sem().Sim(u, v)
 		simrank := idx.SimRankQuery(u, v)
-		sp.End()
-		ri.costed, ri.costKey, ri.epoch = true, g.NodeName(u), idx.Epoch()
-		sp = ri.trace.Start("encode")
+		ri.costed = true
+		ri.ScoreNS = ri.lap()
 		writeJSON(w, map[string]any{
-			"u":       g.NodeName(u),
-			"v":       g.NodeName(v),
+			"u":       ri.U,
+			"v":       ri.V,
 			"sem":     semScore,
-			"semsim":  score,
+			"semsim":  ri.Score,
 			"simrank": simrank,
-			"cost":    &ri.cost,
+			"cost":    &ri.Cost,
 		})
-		sp.End()
-		if qlog != nil {
-			qlog.Log(quality.QueryEvent{
-				RequestID: ri.id,
-				Endpoint:  "/query", U: g.NodeName(u), V: g.NodeName(v),
-				Status: http.StatusOK, Score: score,
-				LatencySeconds: time.Since(t0).Seconds(),
-				Backend:        idx.Backend(),
-				CacheHitRatio:  idx.CacheSummary().HitRatio,
-				Cost:           &ri.cost,
-			})
-		}
+		ri.EncodeNS = ri.lap()
 	}))
 
 	mux.HandleFunc("/explain", so.wrap("/explain", func(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
-		t0 := time.Now()
-		g := idx.Graph()
-		sp := ri.trace.Start("resolve")
+		g := read(ri)
 		u, ok := node(w, r, g, "u", ri)
 		if !ok {
 			return
 		}
 		v, ok := node(w, r, g, "v", ri)
-		sp.End()
 		if !ok {
 			return
 		}
-		sp = ri.trace.Start("explain")
+		ri.U, ri.V = g.NodeName(u), g.NodeName(v)
+		ri.ResolveNS = ri.lap()
 		ex, err := idx.ExplainQuery(u, v)
-		sp.End()
 		if err != nil {
 			ri.fail(w, errorStatus(err), err.Error())
 			return
 		}
-		ex.UName, ex.VName = g.NodeName(u), g.NodeName(v)
-		ri.cost, ri.costed, ri.costKey, ri.epoch = ex.Cost, true, ex.UName, idx.Epoch()
-		sp = ri.trace.Start("encode")
+		ex.UName, ex.VName = ri.U, ri.V
+		ri.Cost, ri.costed, ri.Score, ri.CIWidth = ex.Cost, true, ex.Score, ex.CIWidth()
+		ri.ScoreNS = ri.lap()
 		writeJSON(w, ex)
-		sp.End()
-		if qlog != nil {
-			qlog.Log(quality.QueryEvent{
-				RequestID: ri.id,
-				Endpoint:  "/explain", U: ex.UName, V: ex.VName,
-				Status: http.StatusOK, Score: ex.Score,
-				LatencySeconds: time.Since(t0).Seconds(),
-				Backend:        ex.Backend,
-				CIWidth:        ex.CIWidth(),
-				CacheHitRatio:  idx.CacheSummary().HitRatio,
-				Cost:           &ri.cost,
-			})
-		}
+		ri.EncodeNS = ri.lap()
 	}))
 
 	mux.HandleFunc("/topk", so.wrap("/topk", func(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
-		t0 := time.Now()
-		g := idx.Graph()
-		sp := ri.trace.Start("resolve")
+		g := read(ri)
 		u, ok := node(w, r, g, "u", ri)
-		sp.End()
 		if !ok {
 			return
 		}
@@ -885,34 +789,21 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 				return
 			}
 		}
+		ri.U, ri.K = g.NodeName(u), k
+		ri.ResolveNS = ri.lap()
 		type hit struct {
 			Node  string  `json:"node"`
 			Score float64 `json:"score"`
 		}
-		sp = ri.trace.Start("topk")
-		results := idx.TopKCost(u, k, &ri.cost)
-		sp.End()
-		ri.costed, ri.costKey = true, g.NodeName(u)
-		ri.epoch, ri.strategy = idx.Epoch(), idx.PlanStrategy(k)
+		results := idx.TopKCost(u, k, &ri.Cost)
+		ri.Strategy, ri.Results, ri.costed = idx.PlanStrategy(k), len(results), true
+		ri.ScoreNS = ri.lap()
 		hits := []hit{}
 		for _, s := range results {
 			hits = append(hits, hit{g.NodeName(s.Node), s.Score})
 		}
-		sp = ri.trace.Start("encode")
-		writeJSON(w, map[string]any{"u": g.NodeName(u), "k": k, "results": hits, "cost": &ri.cost})
-		sp.End()
-		if qlog != nil {
-			qlog.Log(quality.QueryEvent{
-				RequestID: ri.id,
-				Endpoint:  "/topk", U: g.NodeName(u), K: k,
-				Status: http.StatusOK, Results: len(hits),
-				LatencySeconds: time.Since(t0).Seconds(),
-				Backend:        idx.Backend(),
-				Strategy:       ri.strategy,
-				CacheHitRatio:  idx.CacheSummary().HitRatio,
-				Cost:           &ri.cost,
-			})
-		}
+		writeJSON(w, map[string]any{"u": ri.U, "k": k, "results": hits, "cost": &ri.Cost})
+		ri.EncodeNS = ri.lap()
 	}))
 
 	// Mutation batches serialize on mutateMu: every request then commits
@@ -935,10 +826,11 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 			ri.fail(w, http.StatusBadRequest, "empty mutation batch")
 			return
 		}
+		decodeNS := ri.lap()
 		mutateMu.Lock()
 		defer mutateMu.Unlock()
-		sp := ri.trace.Start("stage")
-		g := idx.Graph()
+		ri.mark = time.Now() // the wait for the mutation lock is no phase's
+		g := read(ri)
 		m := idx.NewMutator()
 		// Names minted by add_node ops resolve for later ops of the same
 		// batch, so a node and its wiring commit together.
@@ -991,10 +883,8 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 				return
 			}
 		}
-		sp.End()
-		sp = ri.trace.Start("commit")
+		ri.ResolveNS = decodeNS + ri.lap()
 		st, err := m.Commit()
-		sp.End()
 		if err != nil {
 			status := http.StatusBadRequest
 			if errors.Is(err, semsim.ErrStaleMutator) {
@@ -1003,13 +893,15 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 			ri.fail(w, status, err.Error())
 			return
 		}
-		ri.epoch = st.Epoch
+		ri.Epoch = st.Epoch
+		ri.CommitNS = ri.lap()
 		writeJSON(w, map[string]any{
 			"epoch":           st.Epoch,
 			"ops":             st.Ops,
 			"resampled_walks": st.ResampledWalks,
 			"new_nodes":       st.NewNodes,
 		})
+		ri.EncodeNS = ri.lap()
 	}))
 
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"semsim"
+	"semsim/internal/obs/flight"
 	"semsim/internal/obs/quality"
 	"semsim/internal/promlint"
 )
@@ -113,6 +114,78 @@ func TestServeFlightEndpoint(t *testing.T) {
 	}
 }
 
+// TestServeOneEventPerRequest: every API request — errors and /mutate
+// included — makes one event, which the flight ring keeps and the query
+// log writes as its line, and each read's event carries its phase
+// durations within its latency.
+func TestServeOneEventPerRequest(t *testing.T) {
+	var qbuf bytes.Buffer
+	mux, _ := newTestMux(t, quality.NewQueryLog(&qbuf, nil))
+	reqs := []struct {
+		method, path, body string
+		status             int
+	}{
+		{"GET", "/query?u=ada&v=ben", "", http.StatusOK},
+		{"GET", "/explain?u=ada&v=eve", "", http.StatusOK},
+		{"GET", "/topk?u=cho&k=3", "", http.StatusOK},
+		{"GET", "/query?u=ada&v=nobody", "", http.StatusNotFound},
+		{"POST", "/mutate", `{"ops":[{"op":"add_edge","from":"ada","to":"fay","label":"co-author"}]}`, http.StatusOK},
+	}
+	for _, rq := range reqs {
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest(rq.method, rq.path, strings.NewReader(rq.body)))
+		if rr.Code != rq.status {
+			t.Fatalf("%s %s: status %d, want %d: %s", rq.method, rq.path, rr.Code, rq.status, rr.Body)
+		}
+	}
+
+	decode := func(data []byte) []flight.Record {
+		t.Helper()
+		var recs []flight.Record
+		sc := bufio.NewScanner(bytes.NewReader(data))
+		for sc.Scan() {
+			var rec flight.Record
+			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+				t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+			}
+			recs = append(recs, rec)
+		}
+		return recs
+	}
+	ring := map[string]flight.Record{}
+	for _, rec := range decode(get(t, mux, "/debug/flight").Body.Bytes()) {
+		ring[rec.RequestID] = rec
+	}
+	logged := decode(qbuf.Bytes())
+	if len(logged) != len(reqs) {
+		t.Fatalf("query log holds %d lines for %d requests", len(logged), len(reqs))
+	}
+	for i, rec := range logged {
+		if want, ok := ring[rec.RequestID]; !ok || rec != want {
+			t.Errorf("log line %d = %+v\nflight record = %+v", i+1, rec, want)
+		}
+		if rec.Status != reqs[i].status || !strings.HasPrefix(reqs[i].path, rec.Endpoint) {
+			t.Errorf("log line %d is %s %d, want %s %d", i+1, rec.Endpoint, rec.Status, reqs[i].path, reqs[i].status)
+		}
+		switch {
+		case rec.Endpoint == "/mutate":
+			if rec.Epoch != 1 || rec.CommitNS <= 0 {
+				t.Errorf("/mutate event = %+v, want epoch 1 and its commit time", rec)
+			}
+		case rec.Status != http.StatusOK:
+			if rec.ErrClass != "client" || rec.Error != "unknown node nobody" {
+				t.Errorf("error event = %+v, want the client error it answered", rec)
+			}
+		default:
+			if rec.ResolveNS <= 0 || rec.ScoreNS <= 0 || rec.EncodeNS <= 0 ||
+				rec.ResolveNS+rec.ScoreNS+rec.EncodeNS > rec.LatencyNS {
+				t.Errorf("%s phases %d+%d+%d ns, want each > 0 and their sum within the latency %d ns",
+					rec.Endpoint, rec.ResolveNS, rec.ScoreNS, rec.EncodeNS, rec.LatencyNS)
+			}
+		}
+	}
+}
+
 // TestServeHeavyEndpoint: repeated traffic from one source dominates the
 // heavy-hitters sketch.
 func TestServeHeavyEndpoint(t *testing.T) {
@@ -191,21 +264,18 @@ func TestServeDiagBundleRoundTrip(t *testing.T) {
 		t.Fatalf("unpackDiag: %v", err)
 	}
 	want := []string{
-		"metrics.prom", "expvar.json", "flight.ndjson", "traces.ndjson",
+		"metrics.prom", "expvar.json", "flight.ndjson",
 		"profiles.json", "slo.json", "heavy.json", "buildinfo.json",
 	}
 	if n != len(want) {
 		t.Fatalf("bundle holds %d entries, want %d (report: %s)", n, len(want), report.String())
 	}
-	// traces.ndjson may legitimately be empty (no sampler configured
-	// here); everything else must carry content.
-	mayBeEmpty := map[string]bool{"traces.ndjson": true}
 	for _, name := range want {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatalf("bundle entry %s missing: %v", name, err)
 		}
-		if len(data) == 0 && !mayBeEmpty[name] {
+		if len(data) == 0 {
 			t.Errorf("bundle entry %s is empty", name)
 		}
 	}

@@ -1,7 +1,7 @@
 package main
 
 // Tests for the serving observability layer: readiness gating, request
-// IDs, the SLO/trace/profile wiring and the new /metrics series.
+// IDs, the SLO/query-log/profile wiring and the new /metrics series.
 
 import (
 	"bytes"
@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"semsim"
-	"semsim/internal/obs"
+	"semsim/internal/obs/flight"
 	"semsim/internal/obs/quality"
 )
 
@@ -141,7 +141,7 @@ func TestRequestIDAssignment(t *testing.T) {
 	// The query log carries the effective ID of each request.
 	var ids []string
 	for _, line := range strings.Split(strings.TrimSpace(qbuf.String()), "\n") {
-		var ev quality.QueryEvent
+		var ev flight.Record
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("query log line not JSON: %v\n%s", err, line)
 		}
@@ -164,12 +164,12 @@ func TestRequestIDAssignment(t *testing.T) {
 }
 
 // TestServeObsEndToEnd runs the full serve path with the SLO tracker,
-// trace log and anomaly profiler armed, and asserts the new /metrics
-// series, the trace NDJSON and the /debug/profiles surface.
+// query log and anomaly profiler armed, and asserts the new /metrics
+// series, the query log's events and the /debug/profiles surface.
 func TestServeObsEndToEnd(t *testing.T) {
 	g, lin := smokeGraph(t)
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.ndjson")
+	logPath := filepath.Join(dir, "query.ndjson")
 	stop := make(chan struct{})
 	var logbuf bytes.Buffer
 	cfg := serveConfig{
@@ -182,8 +182,7 @@ func TestServeObsEndToEnd(t *testing.T) {
 		sloLatency:   50 * time.Millisecond,
 		sloObjective: 0.99,
 		sloWindow:    time.Minute,
-		traceLogPath: tracePath,
-		traceSample:  1.0, // trace every request so the assertion is deterministic
+		queryLogPath: logPath,
 		profileP99:   time.Second,
 		stop:         stop,
 		logw:         &logbuf,
@@ -237,7 +236,7 @@ func TestServeObsEndToEnd(t *testing.T) {
 		"semsim_http_request_seconds_count 4",
 		"semsim_profile_captures_total 0",
 		"semsim_profile_p99_threshold_seconds 1",
-		"semsim_tracelog_events_total 4",
+		"semsim_querylog_events_total 4",
 	} {
 		if !strings.Contains(metrics, series) {
 			t.Errorf("/metrics missing %s", series)
@@ -275,35 +274,33 @@ func TestServeObsEndToEnd(t *testing.T) {
 		t.Fatal("serve did not shut down")
 	}
 
-	// The trace log holds one record per API request, each with a
-	// request ID and at least one span.
-	data, err := os.ReadFile(tracePath)
+	// The query log holds one event per API request, each with a
+	// request ID and a start time, and each successful read with its
+	// three phases.
+	data, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
 	if len(lines) != 4 {
-		t.Fatalf("trace log has %d records, want 4:\n%s", len(lines), data)
+		t.Fatalf("query log has %d events, want 4:\n%s", len(lines), data)
 	}
 	endpoints := map[string]int{}
 	for _, line := range lines {
-		var rec obs.TraceRecord
+		var rec flight.Record
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("trace record not JSON: %v\n%s", err, line)
+			t.Fatalf("query log event not JSON: %v\n%s", err, line)
 		}
-		if rec.RequestID == "" {
-			t.Errorf("trace record missing request_id: %s", line)
+		if rec.RequestID == "" || rec.TimeNS == 0 {
+			t.Errorf("event missing request_id or time_ns: %s", line)
 		}
-		if rec.Time.IsZero() {
-			t.Errorf("trace record missing timestamp: %s", line)
+		if rec.Status == http.StatusOK && (rec.ResolveNS <= 0 || rec.ScoreNS <= 0 || rec.EncodeNS <= 0) {
+			t.Errorf("read event missing a phase duration: %s", line)
 		}
-		if len(rec.Spans) == 0 {
-			t.Errorf("trace record has no spans: %s", line)
-		}
-		endpoints[rec.Name]++
+		endpoints[rec.Endpoint]++
 	}
 	if endpoints["/query"] != 2 || endpoints["/explain"] != 1 || endpoints["/topk"] != 1 {
-		t.Errorf("trace names by endpoint = %v, want /query:2 /explain:1 /topk:1", endpoints)
+		t.Errorf("events by endpoint = %v, want /query:2 /explain:1 /topk:1", endpoints)
 	}
 }
 
@@ -378,7 +375,7 @@ func TestServeQueryLogRotation(t *testing.T) {
 			if line == "" {
 				continue
 			}
-			var ev quality.QueryEvent
+			var ev flight.Record
 			if err := json.Unmarshal([]byte(line), &ev); err != nil {
 				t.Fatalf("%s: bad NDJSON line: %v\n%s", p, err, line)
 			}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"semsim"
+	"semsim/internal/obs/flight"
 	"semsim/internal/obs/quality"
 )
 
@@ -34,7 +35,7 @@ func newTestMux(t *testing.T, qlog *quality.QueryLog) (*http.ServeMux, *semsim.M
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { idx.Close() })
-	return newServeMux(idx, newServeObs(reg, qlog, nil, nil, nil, nil)), reg
+	return newServeMux(idx, newServeObs(reg, qlog, nil, nil)), reg
 }
 
 // TestServeErrorShapes: every endpoint rejects bad input with the shared
@@ -126,7 +127,8 @@ func TestServeExplainEndpoint(t *testing.T) {
 
 // TestServeQueryLogEvents: with a query log attached, each served
 // request emits one NDJSON wide event carrying endpoint, status and
-// latency, and /explain events carry the CI width.
+// latency, /explain events carry the CI width and /topk events the
+// query, its result count and the planner's strategy.
 func TestServeQueryLogEvents(t *testing.T) {
 	var logbuf bytes.Buffer
 	reg0 := semsim.NewMetrics()
@@ -141,10 +143,10 @@ func TestServeQueryLogEvents(t *testing.T) {
 		}
 	}
 
-	var events []quality.QueryEvent
+	var events []flight.Record
 	sc := bufio.NewScanner(&logbuf)
 	for sc.Scan() {
-		var ev quality.QueryEvent
+		var ev flight.Record
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("query log line is not JSON: %v\n%s", err, sc.Text())
 		}
@@ -153,13 +155,13 @@ func TestServeQueryLogEvents(t *testing.T) {
 	if len(events) != 3 {
 		t.Fatalf("query log holds %d events, want 3", len(events))
 	}
-	endpoints := map[string]quality.QueryEvent{}
+	endpoints := map[string]flight.Record{}
 	for _, ev := range events {
 		endpoints[ev.Endpoint] = ev
 		if ev.Status != http.StatusOK {
 			t.Errorf("%s event status %d, want 200", ev.Endpoint, ev.Status)
 		}
-		if ev.Time.IsZero() || ev.LatencySeconds < 0 {
+		if ev.TimeNS == 0 || ev.LatencyNS <= 0 {
 			t.Errorf("%s event missing timing: %+v", ev.Endpoint, ev)
 		}
 	}

@@ -15,9 +15,7 @@ import (
 // the two routes through each query shape's one loop. Two fresh
 // estimators over the same walks, one driven with nil and one with a
 // Cost, must give bit-identical answers from every shape and leave
-// their SO caches with equal counters. Scoring is serial (Workers: 1):
-// parallel workers racing on a lazily filled map split its hits and
-// misses by scheduling.
+// their SO caches with equal counters.
 func TestCostAccumulatorNeutral(t *testing.T) {
 	const n = 18
 	g := randomGraph(41, n, 80, true)

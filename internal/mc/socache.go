@@ -23,8 +23,9 @@ import (
 // partitioned across soCacheShards independently locked shards (striped
 // RW locks), so concurrent queriers touching different pairs proceed
 // without contention, and hit/miss statistics are kept in per-shard
-// atomic counters. SO is deterministic, so a racing double-compute of
-// the same pair stores the same value — last write wins harmlessly.
+// atomic counters. Workers racing on one missing pair each compute it,
+// but only the first stores it and counts the miss; the others serve the
+// stored value as a hit, so the counters equal a serial run's.
 //
 // After an eager warm (Precompute), EnableDense can additionally publish
 // the stored values as a flat triangular float64 table: probes then skip
@@ -115,13 +116,20 @@ func (c *SOCache) SO(a, b hin.NodeID) (so float64, stored bool) {
 		sh.hits.Add(1)
 		return v, true
 	}
-	sh.misses.Add(1)
 	v = pairgraph.SO(c.g, c.sem, a, b)
 	if c.sem.Sim(a, b) >= c.cutoff {
+		// A worker that missed the same pair concurrently may have stored
+		// it first; then this probe is a hit on its value.
 		sh.mu.Lock()
+		if old, ok := sh.vals[k]; ok {
+			sh.mu.Unlock()
+			sh.hits.Add(1)
+			return old, true
+		}
 		sh.vals[k] = v
 		sh.mu.Unlock()
 	}
+	sh.misses.Add(1)
 	return v, false
 }
 
@@ -136,7 +144,15 @@ func (c *SOCache) Precompute() { c.PrecomputeParallel(0) }
 // warm: each pair's SO is deterministic, and which pairs are stored
 // depends only on the cutoff, not on scheduling.
 func (c *SOCache) PrecomputeParallel(workers int) {
-	n := c.g.NumNodes()
+	forEachRow(c.g.NumNodes(), workers, c.precomputeRow)
+}
+
+// forEachRow calls row(u) for every u in [0,n) on up to workers
+// goroutines (<= 0 uses GOMAXPROCS) and returns once all rows are done.
+// Rows are handed out one at a time: row u of a triangular table costs
+// O(n-u), so contiguous chunks would leave the high-row worker idle half
+// the time.
+func forEachRow(n, workers int, row func(u int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -145,24 +161,18 @@ func (c *SOCache) PrecomputeParallel(workers int) {
 	}
 	if workers <= 1 {
 		for u := 0; u < n; u++ {
-			c.precomputeRow(u)
+			row(u)
 		}
 		return
 	}
-	// Dynamic row assignment: row u costs O(n-u), so contiguous chunks
-	// would leave the high-row worker idle half the time.
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				u := int(next.Add(1)) - 1
-				if u >= n {
-					return
-				}
-				c.precomputeRow(u)
+			for u := int(next.Add(1)) - 1; u < n; u = int(next.Add(1)) - 1 {
+				row(u)
 			}
 		}()
 	}
@@ -202,48 +212,27 @@ func (c *SOCache) EnableDense(budget int64, workers int) bool {
 	if cells*8 > budget {
 		return false
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	d := &soDense{vals: make([]float64, cells), rowOff: make([]int64, n), n: n}
+	d := newSODense(n)
+	forEachRow(n, workers, func(u int) {
+		row := d.vals[d.rowOff[u]:]
+		for v := u; v < n; v++ {
+			row[v] = pairgraph.SO(c.g, c.sem, hin.NodeID(u), hin.NodeID(v))
+		}
+	})
+	c.dense.Store(d)
+	return true
+}
+
+// newSODense allocates an n-node triangular table: row a holds the
+// cells (a, v) for v >= a, read as vals[rowOff[a]+v].
+func newSODense(n int) *soDense {
+	d := &soDense{vals: make([]float64, int64(n)*int64(n+1)/2), rowOff: make([]int64, n), n: n}
 	off := int64(0)
 	for a := 0; a < n; a++ {
 		d.rowOff[a] = off - int64(a)
 		off += int64(n - a)
 	}
-	fillRow := func(u int) {
-		row := d.vals[d.rowOff[u]:]
-		for v := u; v < n; v++ {
-			row[v] = pairgraph.SO(c.g, c.sem, hin.NodeID(u), hin.NodeID(v))
-		}
-	}
-	if workers <= 1 {
-		for u := 0; u < n; u++ {
-			fillRow(u)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					u := int(next.Add(1)) - 1
-					if u >= n {
-						return
-					}
-					fillRow(u)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	c.dense.Store(d)
-	return true
+	return d
 }
 
 // Dense reports whether the flat-table read path is active.
@@ -344,26 +333,4 @@ func (c *SOCache) Summary() CacheSummary {
 		s.HitRatio = float64(s.Hits) / float64(total)
 	}
 	return s
-}
-
-// ShardStats reports per-stripe entry counts and hit/miss counters, for
-// diagnosing skew in the stripe hash under production workloads.
-type ShardStats struct {
-	Entries int
-	Hits    int64
-	Misses  int64
-}
-
-// PerShardStats snapshots every stripe.
-func (c *SOCache) PerShardStats() []ShardStats {
-	out := make([]ShardStats, soCacheShards)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		out[i].Entries = len(sh.vals)
-		sh.mu.RUnlock()
-		out[i].Hits = sh.hits.Load()
-		out[i].Misses = sh.misses.Load()
-	}
-	return out
 }

@@ -94,20 +94,20 @@ func TestTraceStringDuringRecording(t *testing.T) {
 	if n := len(tr.Spans()); n != MaxTraceSpans {
 		t.Errorf("trace kept %d spans, want the cap %d", n, MaxTraceSpans)
 	}
-	if d := tr.Export().Dropped; d != total-MaxTraceSpans {
-		t.Errorf("Export().Dropped = %d, want %d", d, total-MaxTraceSpans)
+	if _, d := tr.snapshot(); d != total-MaxTraceSpans {
+		t.Errorf("dropped = %d, want %d", d, total-MaxTraceSpans)
 	}
 }
 
 // TestTraceSpanCap: past MaxTraceSpans the newest spans overwrite the
-// oldest, and String and Export both report how many were dropped.
+// oldest, and String reports how many were dropped.
 func TestTraceSpanCap(t *testing.T) {
 	tr := NewTrace("capped")
 	for i := 0; i < MaxTraceSpans; i++ {
 		tr.Time("early", func() {})
 	}
-	if tr.Export().Dropped != 0 || strings.Contains(tr.String(), "dropped") {
-		t.Fatalf("a trace at its cap reports drops: %d", tr.Export().Dropped)
+	if _, d := tr.snapshot(); d != 0 || strings.Contains(tr.String(), "dropped") {
+		t.Fatalf("a trace at its cap reports drops: %d", d)
 	}
 	const extra = 10
 	for i := 0; i < extra; i++ {
@@ -132,8 +132,8 @@ func TestTraceSpanCap(t *testing.T) {
 	if !strings.Contains(tr.String(), "(10 older spans dropped)") {
 		t.Errorf("String() does not report the drops:\n%s", tr.String())
 	}
-	if rec := tr.Export(); rec.Dropped != extra || len(rec.Spans) != MaxTraceSpans {
-		t.Errorf("Export() = %d spans, %d dropped; want %d, %d",
-			len(rec.Spans), rec.Dropped, MaxTraceSpans, extra)
+	if kept, d := tr.snapshot(); d != extra || len(kept) != MaxTraceSpans {
+		t.Errorf("snapshot = %d spans, %d dropped; want %d, %d",
+			len(kept), d, MaxTraceSpans, extra)
 	}
 }

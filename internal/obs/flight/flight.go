@@ -1,6 +1,6 @@
 // Package flight is an always-on flight recorder: a preallocated ring of
-// compact wide-event records — one per served request or mutation commit
-// — that a debug endpoint can dump as NDJSON at any moment. It answers
+// wide-event records — one per served request or mutation commit — that
+// a debug endpoint can dump as NDJSON at any moment. It answers
 // the incident question "what exactly were the last few thousand
 // requests" without log shipping, sampling bias, or per-request
 // allocation.
@@ -31,29 +31,56 @@ import (
 	"semsim/internal/obs"
 )
 
-// Record is one wide event. Times are unix nanoseconds and latencies are
-// raw nanoseconds (not time.Time / time.Duration) so the struct is flat,
-// comparable, and marshals without custom encoders. Cost is embedded by
-// value: the ring preallocates it with the slot.
+// Record is the one wide event of a served request or mutation commit:
+// what was asked, what answered it, how it ended, where its time went
+// and what work it did. The flight ring keeps it, and serve's query log
+// writes the same value as its line. Times are unix nanoseconds and
+// durations raw nanoseconds (not time.Time / time.Duration) so the
+// struct is flat, comparable, and marshals without custom encoders.
+// Cost is embedded by value: the ring preallocates it with the slot.
 type Record struct {
 	// Seq is the global 1-based sequence number, assigned by the ring.
 	Seq uint64 `json:"seq"`
-	// TimeNS is the completion time, unix nanoseconds (caller-stamped).
+	// TimeNS is the request's start time, unix nanoseconds.
 	TimeNS int64 `json:"time_ns"`
 	// Endpoint is the serving endpoint ("/query", "/topk", "/mutate", ...).
 	Endpoint string `json:"endpoint"`
-	// RequestID joins this record to the query log and trace log.
+	// RequestID is the X-Semsim-Request ID the caller saw.
 	RequestID string `json:"request_id"`
-	// Epoch is the index epoch the request was answered from.
+	// Epoch is the index epoch the request was answered from (the new
+	// epoch, for a commit).
 	Epoch uint64 `json:"epoch"`
+	// Backend is the engine backend that answered.
+	Backend string `json:"backend,omitempty"`
 	// Strategy is the planner strategy for top-k requests ("" otherwise).
 	Strategy string `json:"strategy,omitempty"`
+	// U, V and K are the resolved query: node names and the top-k size.
+	U string `json:"u,omitempty"`
+	V string `json:"v,omitempty"`
+	K int    `json:"k,omitempty"`
 	// Status is the HTTP status code (or 0 for non-HTTP events).
 	Status int `json:"status"`
 	// ErrClass classifies failures: "" ok, "client" 4xx, "server" 5xx.
 	ErrClass string `json:"err_class,omitempty"`
+	// Error is the error message the response carried.
+	Error string `json:"error,omitempty"`
+	// Score is a pair's estimate, Results the number of top-k hits and
+	// CIWidth the width of /explain's confidence interval.
+	Score   float64 `json:"score,omitempty"`
+	Results int     `json:"results,omitempty"`
+	CIWidth float64 `json:"ci_width,omitempty"`
 	// LatencyNS is the request latency in nanoseconds.
 	LatencyNS int64 `json:"latency_ns"`
+	// The phase split of LatencyNS, in nanoseconds: ResolveNS runs from
+	// the request's start through name resolution (on /mutate: decoding
+	// and staging the batch, without the wait for the mutation lock),
+	// ScoreNS is the query work, CommitNS a mutation's commit and
+	// EncodeNS the response encoding. Each is stamped when its phase
+	// completes, so a phase the request did not complete is 0.
+	ResolveNS int64 `json:"resolve_ns,omitempty"`
+	ScoreNS   int64 `json:"score_ns,omitempty"`
+	CommitNS  int64 `json:"commit_ns,omitempty"`
+	EncodeNS  int64 `json:"encode_ns,omitempty"`
 	// Cost is the request's cost accounting (zero when accounting is
 	// off or the endpoint does no query work).
 	Cost obs.Cost `json:"cost"`
@@ -84,18 +111,17 @@ func New(n int) *Ring {
 	return &Ring{slots: make([]slot, n)}
 }
 
-// Record stores rec in the ring, overwriting the oldest entry once the
-// ring has wrapped. The ring assigns rec.Seq. Zero allocations; no-op on
-// a nil ring.
-func (r *Ring) Record(rec Record) {
+// Record assigns rec.Seq and stores a copy of *rec in the ring,
+// overwriting the oldest entry once the ring has wrapped. Zero
+// allocations; no-op on a nil ring, which leaves rec.Seq alone.
+func (r *Ring) Record(rec *Record) {
 	if r == nil {
 		return
 	}
-	seq := r.seq.Add(1)
-	s := &r.slots[(seq-1)%uint64(len(r.slots))]
-	rec.Seq = seq
+	rec.Seq = r.seq.Add(1)
+	s := &r.slots[(rec.Seq-1)%uint64(len(r.slots))]
 	s.mu.Lock()
-	s.rec = rec
+	s.rec = *rec
 	s.set = true
 	s.mu.Unlock()
 }

@@ -16,7 +16,7 @@ func withSteps(n int64) obs.Cost { return obs.Cost{WalkSteps: n} }
 
 func TestNilRingIsOff(t *testing.T) {
 	var r *Ring
-	r.Record(Record{Endpoint: "/query"})
+	r.Record(&Record{Endpoint: "/query"})
 	if got := r.Len(); got != 0 {
 		t.Fatalf("nil ring Len = %d, want 0", got)
 	}
@@ -39,7 +39,11 @@ func TestNilRingIsOff(t *testing.T) {
 func TestRecordAndWraparound(t *testing.T) {
 	r := New(4)
 	for i := 0; i < 10; i++ {
-		r.Record(Record{Endpoint: "/query", Status: 200, LatencyNS: int64(i)})
+		rec := Record{Endpoint: "/query", Status: 200, LatencyNS: int64(i)}
+		r.Record(&rec)
+		if rec.Seq != uint64(i+1) {
+			t.Fatalf("Record wrote back seq %d, want %d", rec.Seq, i+1)
+		}
 	}
 	if got := r.Len(); got != 4 {
 		t.Fatalf("Len after wrap = %d, want 4", got)
@@ -63,8 +67,8 @@ func TestRecordAndWraparound(t *testing.T) {
 
 func TestDumpNDJSON(t *testing.T) {
 	r := New(8)
-	r.Record(Record{Endpoint: "/query", RequestID: "req-1", Status: 200})
-	r.Record(Record{Endpoint: "/mutate", RequestID: "req-2", Status: 409,
+	r.Record(&Record{Endpoint: "/query", RequestID: "req-1", Status: 200})
+	r.Record(&Record{Endpoint: "/mutate", RequestID: "req-2", Status: 409,
 		ErrClass: ClassifyStatus(409)})
 	var buf bytes.Buffer
 	n, err := r.Dump(&buf)
@@ -85,16 +89,18 @@ func TestDumpNDJSON(t *testing.T) {
 }
 
 func TestRecordZeroAllocs(t *testing.T) {
-	rec := Record{Endpoint: "/query", RequestID: "req-alloc", Status: 200,
-		LatencyNS: 1234}
+	rec := Record{Endpoint: "/topk", RequestID: "req-alloc", Epoch: 3,
+		Backend: "mc", Strategy: "collision", U: "ada", K: 10, Status: 200,
+		Results: 10, LatencyNS: 1234, ResolveNS: 100, ScoreNS: 900,
+		EncodeNS: 200, Cost: withSteps(42)}
 
 	var off *Ring
-	if n := testing.AllocsPerRun(200, func() { off.Record(rec) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { off.Record(&rec) }); n != 0 {
 		t.Fatalf("disabled Record allocates %v/op, want 0", n)
 	}
 
 	on := New(16)
-	if n := testing.AllocsPerRun(200, func() { on.Record(rec) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { on.Record(&rec) }); n != 0 {
 		t.Fatalf("enabled Record allocates %v/op, want 0", n)
 	}
 }
@@ -115,7 +121,7 @@ func TestConcurrentRecordDump(t *testing.T) {
 			defer writerWG.Done()
 			for i := 0; i < perWriter; i++ {
 				lat := int64(w*perWriter + i)
-				r.Record(Record{
+				r.Record(&Record{
 					Endpoint:  "/query",
 					Status:    200,
 					LatencyNS: lat,

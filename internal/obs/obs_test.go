@@ -375,6 +375,34 @@ func TestTraceConcurrentSpans(t *testing.T) {
 	}
 }
 
+// TestSpanRecordJSONRoundTrip: a span (the public TraceSpan) marshals its
+// offsets as integer nanoseconds and round-trips unchanged.
+func TestSpanRecordJSONRoundTrip(t *testing.T) {
+	in := SpanRecord{Name: "resolve", Start: 1500 * time.Nanosecond, Duration: 2 * time.Microsecond}
+	data, err := json.Marshal(in)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	// Durations must serialize as integer nanoseconds under the _ns keys.
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatalf("unmarshal raw: %v", err)
+	}
+	if got := raw["start_ns"].(float64); got != 1500 {
+		t.Fatalf("start_ns = %v, want 1500", got)
+	}
+	if got := raw["duration_ns"].(float64); got != 2000 {
+		t.Fatalf("duration_ns = %v, want 2000", got)
+	}
+	var out SpanRecord
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if out != in {
+		t.Fatalf("round trip: got %+v, want %+v", out, in)
+	}
+}
+
 // TestPublishExpvar: publishing is guarded against duplicates and the
 // published value tracks the live registry.
 func TestPublishExpvar(t *testing.T) {

@@ -20,8 +20,8 @@
 //   - Health (health.go) polls Go runtime statistics (heap, goroutines,
 //     GC pauses) into obs gauges.
 //
-//   - QueryLog (querylog.go) writes one structured JSON wide event per
-//     served request.
+//   - QueryLog (querylog.go) writes serve's one event per request — the
+//     flight.Record its flight ring also keeps — as a JSON line.
 //
 // Everything follows package obs's nil-is-off contract: a nil *Shadow,
 // *Health or *QueryLog ignores all calls, so enabling the layer is a

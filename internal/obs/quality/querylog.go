@@ -4,47 +4,15 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-	"time"
 
 	"semsim/internal/obs"
+	"semsim/internal/obs/flight"
 )
 
-// QueryEvent is one wide event in the structured query log: everything
-// worth knowing about a single served request on one line of JSON, so
-// an operator can slice latency by strategy, correlate CI width with
-// cache hit ratio, or grep a single bad query out of a day of traffic.
-type QueryEvent struct {
-	Time time.Time `json:"ts"`
-	// RequestID is the serve-assigned (or X-Semsim-Request-propagated)
-	// request identifier — the join key between the query log, the
-	// sampled trace log and whatever an upstream caller logged.
-	RequestID string `json:"request_id,omitempty"`
-	Endpoint  string `json:"endpoint"`
-	U         string `json:"u,omitempty"`
-	V         string `json:"v,omitempty"`
-	K         int    `json:"k,omitempty"`
-	Status    int    `json:"status"`
-	Error     string `json:"error,omitempty"`
-
-	Score          float64 `json:"score,omitempty"`
-	Results        int     `json:"results,omitempty"`
-	LatencySeconds float64 `json:"latency_seconds"`
-
-	Backend       string  `json:"backend,omitempty"`
-	Strategy      string  `json:"strategy,omitempty"`
-	CIWidth       float64 `json:"ci_width,omitempty"`
-	CacheHitRatio float64 `json:"cache_hit_ratio,omitempty"`
-
-	// Cost is the request's cost accounting (walk steps, cache traffic,
-	// block decodes — see obs.Cost), set when the serving layer runs the
-	// query through a costed entry point. Nil when accounting is off or
-	// the endpoint does no query work.
-	Cost *obs.Cost `json:"cost,omitempty"`
-}
-
-// QueryLog serializes QueryEvents as newline-delimited JSON to a single
-// writer. Writes are mutex-serialized (the log sits after the response
-// is computed, off the scoring hot path) and one slow or failing write
+// QueryLog serializes request events — flight.Record, the value serve's
+// flight ring also keeps — as newline-delimited JSON to a single writer.
+// Writes are mutex-serialized (the log sits after the response is
+// computed, off the scoring hot path) and one slow or failing write
 // never panics a handler — failures are counted and dropped. A nil
 // *QueryLog ignores all calls.
 type QueryLog struct {
@@ -70,16 +38,13 @@ func NewQueryLog(w io.Writer, reg *obs.Registry) *QueryLog {
 	}
 }
 
-// Log writes one event. Marshal or write failures are counted on
-// semsim_querylog_write_errors_total and otherwise swallowed.
-func (l *QueryLog) Log(ev QueryEvent) {
+// Log writes one event as it is given. Marshal or write failures are
+// counted on semsim_querylog_write_errors_total and otherwise swallowed.
+func (l *QueryLog) Log(rec *flight.Record) {
 	if l == nil {
 		return
 	}
-	if ev.Time.IsZero() {
-		ev.Time = time.Now()
-	}
-	line, err := json.Marshal(ev)
+	line, err := json.Marshal(rec)
 	if err != nil {
 		l.fails.Inc()
 		return

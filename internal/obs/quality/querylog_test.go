@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"semsim/internal/obs"
+	"semsim/internal/obs/flight"
 )
 
 func TestQueryLogNilIsOff(t *testing.T) {
@@ -16,26 +17,31 @@ func TestQueryLogNilIsOff(t *testing.T) {
 		t.Fatal("nil writer should yield the nil (disabled) log")
 	}
 	var l *QueryLog
-	l.Log(QueryEvent{Endpoint: "/query"}) // must not panic
+	l.Log(&flight.Record{Endpoint: "/query"}) // must not panic
 }
 
 func TestQueryLogWritesNDJSON(t *testing.T) {
 	var buf bytes.Buffer
 	reg := obs.NewRegistry()
 	l := NewQueryLog(&buf, reg)
-	l.Log(QueryEvent{Endpoint: "/query", U: "a", V: "b", Status: 200, Score: 0.25, LatencySeconds: 1e-6})
-	l.Log(QueryEvent{Endpoint: "/explain", U: "a", V: "b", Status: 200, CIWidth: 0.1})
-	l.Log(QueryEvent{Endpoint: "/query", Status: 404, Error: "unknown node"})
+	recs := []flight.Record{
+		{Seq: 1, Endpoint: "/query", U: "a", V: "b", Status: 200, Score: 0.25, LatencyNS: 1000},
+		{Seq: 2, Endpoint: "/explain", U: "a", V: "b", Status: 200, CIWidth: 0.1},
+		{Seq: 3, Endpoint: "/query", Status: 404, ErrClass: "client", Error: "unknown node"},
+	}
+	for i := range recs {
+		l.Log(&recs[i])
+	}
 
 	sc := bufio.NewScanner(&buf)
 	n := 0
 	for sc.Scan() {
-		var ev QueryEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+		var rec flight.Record
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatalf("line %d is not valid JSON: %v: %s", n+1, err, sc.Text())
 		}
-		if ev.Time.IsZero() {
-			t.Errorf("line %d: zero Time was not filled in", n+1)
+		if n < len(recs) && rec != recs[n] {
+			t.Errorf("line %d decodes to %+v, want %+v", n+1, rec, recs[n])
 		}
 		n++
 	}
@@ -54,14 +60,14 @@ func TestQueryLogWritesNDJSON(t *testing.T) {
 func TestQueryLogPreservesExplicitTime(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewQueryLog(&buf, nil)
-	want := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
-	l.Log(QueryEvent{Endpoint: "/query", Time: want})
-	var ev QueryEvent
-	if err := json.Unmarshal(buf.Bytes(), &ev); err != nil {
+	want := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC).UnixNano()
+	l.Log(&flight.Record{Endpoint: "/query", TimeNS: want})
+	var rec flight.Record
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
 		t.Fatal(err)
 	}
-	if !ev.Time.Equal(want) {
-		t.Errorf("Time = %v, want %v", ev.Time, want)
+	if rec.TimeNS != want {
+		t.Errorf("TimeNS = %d, want %d", rec.TimeNS, want)
 	}
 }
 
@@ -72,8 +78,8 @@ func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full")
 func TestQueryLogCountsWriteFailures(t *testing.T) {
 	reg := obs.NewRegistry()
 	l := NewQueryLog(failWriter{}, reg)
-	l.Log(QueryEvent{Endpoint: "/query"})
-	l.Log(QueryEvent{Endpoint: "/query"})
+	l.Log(&flight.Record{Endpoint: "/query"})
+	l.Log(&flight.Record{Endpoint: "/query"})
 	snap := reg.Snapshot()
 	if snap.Counters["semsim_querylog_write_errors_total"] != 2 {
 		t.Errorf("write errors = %d, want 2", snap.Counters["semsim_querylog_write_errors_total"])
@@ -91,7 +97,7 @@ func TestQueryLogConcurrent(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 50; j++ {
-				l.Log(QueryEvent{Endpoint: "/query", Status: 200})
+				l.Log(&flight.Record{Endpoint: "/query", Status: 200})
 			}
 		}()
 	}

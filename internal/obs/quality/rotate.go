@@ -7,16 +7,16 @@ import (
 )
 
 // RotatingFile is an append-only file writer with size-based rotation,
-// the durability backstop for the NDJSON query and trace logs: when a
-// write would push the file past maxBytes, the generation chain shifts
-// (path.1 → path.2 … up to path.maxGens, oldest deleted), the current
-// file is renamed to path.1 and a fresh file is started at path.
+// the durability backstop for the NDJSON query log: when a write would
+// push the file past maxBytes, the generation chain shifts (path.1 →
+// path.2 … up to path.maxGens, oldest deleted), the current file is
+// renamed to path.1 and a fresh file is started at path.
 // Rotation bounds disk use at roughly (maxGens+1)×maxBytes per log
 // without an external logrotate.
 //
 // Writes are mutex-serialized and never split across a rotation, so
 // each generation holds whole NDJSON lines as long as callers write one
-// line per call (QueryLog and TraceLog both do).
+// line per call (QueryLog does).
 type RotatingFile struct {
 	mu       sync.Mutex
 	path     string

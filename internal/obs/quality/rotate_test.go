@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"semsim/internal/obs"
+	"semsim/internal/obs/flight"
 )
 
 func TestRotatingFileNoRotationUnderLimit(t *testing.T) {
@@ -195,13 +196,13 @@ func TestRotatingFileResumesExistingSize(t *testing.T) {
 // both generations must stay whole and parseable, and the event counter
 // must account for all of them.
 func TestQueryLogOverRotatingFile(t *testing.T) {
-	// A fixed timestamp keeps every line the same length, so the
-	// rotation point is deterministic: with maxBytes = 12 lines, 20
-	// events rotate exactly once (12 into .1, 8 into the live file).
-	ev := QueryEvent{
-		Time:     timeFixed(t),
+	// A fixed record keeps every line the same length, so the rotation
+	// point is deterministic: with maxBytes = 12 lines, 20 events rotate
+	// exactly once (12 into .1, 8 into the live file).
+	ev := flight.Record{
+		TimeNS:   timeFixed(t).UnixNano(),
 		Endpoint: "/query", RequestID: "req-1", U: "a", V: "b",
-		Status: 200, LatencySeconds: 2e-6,
+		Status: 200, LatencyNS: 2000,
 	}
 	line, err := json.Marshal(ev)
 	if err != nil {
@@ -218,7 +219,7 @@ func TestQueryLogOverRotatingFile(t *testing.T) {
 	reg := obs.NewRegistry()
 	qlog := NewQueryLog(rf, reg)
 	for i := 0; i < 20; i++ {
-		qlog.Log(ev)
+		qlog.Log(&ev)
 	}
 	if got := reg.Counter("semsim_querylog_events_total", "").Value(); got != 20 {
 		t.Fatalf("events counter = %d, want 20", got)
@@ -234,7 +235,7 @@ func TestQueryLogOverRotatingFile(t *testing.T) {
 		}
 		sc := bufio.NewScanner(f)
 		for sc.Scan() {
-			var ev QueryEvent
+			var ev flight.Record
 			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 				t.Fatalf("%s: torn line %q: %v", p, sc.Text(), err)
 			}
@@ -270,7 +271,7 @@ func TestQueryLogWriteFailureThroughRotation(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	qlog := NewQueryLog(rf, reg)
-	qlog.Log(QueryEvent{Endpoint: "/query", Status: 200})
+	qlog.Log(&flight.Record{Endpoint: "/query", Status: 200})
 	if got := reg.Counter("semsim_querylog_events_total", "").Value(); got != 1 {
 		t.Fatalf("first event not logged: %d", got)
 	}
@@ -279,7 +280,7 @@ func TestQueryLogWriteFailureThroughRotation(t *testing.T) {
 	if err := os.RemoveAll(filepath.Dir(path)); err != nil {
 		t.Fatal(err)
 	}
-	qlog.Log(QueryEvent{Endpoint: "/query", Status: 200, Error: strings.Repeat("x", 64)})
+	qlog.Log(&flight.Record{Endpoint: "/query", Status: 200, Error: strings.Repeat("x", 64)})
 	if got := reg.Counter("semsim_querylog_write_errors_total", "").Value(); got == 0 {
 		t.Fatal("write failure was not counted")
 	}

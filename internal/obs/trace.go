@@ -19,7 +19,7 @@ import (
 // concurrent phases may record into one trace) but is not meant for
 // per-walk-step granularity; spans are phase-level. It is also bounded:
 // past MaxTraceSpans the newest span overwrites the oldest, as in the
-// flight ring, and String and Export count the spans lost that way — a
+// flight ring, and String counts the spans lost that way — a
 // long-lived trace (serve's startup trace also collects every commit's
 // backend spans) cannot grow without limit. A nil *Trace ignores all
 // calls, so APIs can take an optional trace without branching at call
@@ -120,24 +120,6 @@ func (t *Trace) snapshot() ([]SpanRecord, int64) {
 	t.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out, dropped
-}
-
-// Export freezes the trace into its wire form: name, elapsed total, the
-// kept spans and the count the span cap dropped, ready for json.Marshal
-// or a TraceLog. Wall-clock and request identity are the caller's to
-// stamp (serve knows the request ID; the trace does not). Returns the
-// zero record on nil.
-func (t *Trace) Export() TraceRecord {
-	if t == nil {
-		return TraceRecord{}
-	}
-	spans, dropped := t.snapshot()
-	return TraceRecord{
-		Name:    t.name,
-		Total:   t.Total(),
-		Spans:   spans,
-		Dropped: dropped,
-	}
 }
 
 // Total returns the elapsed time since the trace started (0 on nil).
