@@ -41,7 +41,7 @@ bench:
 # Runs the hot-path query benchmarks and records ns/op + allocs/op in
 # BENCH_query.json, the machine-readable perf trajectory (compare the
 # file across commits to catch regressions).
-BENCH_JSON_REGEXP ?= BenchmarkQuery|BenchmarkTopK|BenchmarkSingleSource|BenchmarkBatch|BenchmarkExplainQuery|BenchmarkCommitSmallEdit|BenchmarkLoad
+BENCH_JSON_REGEXP ?= BenchmarkQuery|BenchmarkTopK|BenchmarkSingleSource|BenchmarkBatch|BenchmarkExplainQuery|BenchmarkCommitSmallEdit|BenchmarkLoad|BenchmarkSOTableFill
 bench-json:
 	$(GO) run ./cmd/benchjson -out BENCH_query.json -bench '$(BENCH_JSON_REGEXP)' -count 6 -benchtime 0.2s
 

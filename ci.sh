@@ -124,11 +124,19 @@ grep -q '^semsim_shadow_checked_total [1-9]' "$tmpdir/metrics.after" \
 echo "==> tier 1: diagnostics bundle smoke (/debug/diag + semsim diag round-trip)"
 # Flight recorder: the loadgen traffic above must be in the ring, and
 # its deterministic lg-* request IDs must join back to the query log.
+# The 4,096-slot ring holds well under a second of loadgen traffic, so
+# whether one of loadgen's half-second commits is still in it is
+# timing; the check commits one /mutate of its own, under a fixed
+# request ID, right before the dump.
+curl -sf -X POST -H 'X-Semsim-Request: ci-mutate-probe' \
+    -d '{"ops":[{"op":"add_node","name":"ci-probe","label":"author"}]}' \
+    "http://$addr/mutate" > /dev/null \
+    || { echo "ci: the probe /mutate failed"; exit 1; }
 curl -sf "http://$addr/debug/flight" > "$tmpdir/flight.ndjson"
 grep -q '"request_id":"lg-1-' "$tmpdir/flight.ndjson" \
     || { echo "ci: flight recorder holds no loadgen request IDs"; exit 1; }
-grep -q '"endpoint":"/mutate"' "$tmpdir/flight.ndjson" \
-    || { echo "ci: flight recorder missed the mutation commits"; exit 1; }
+grep -q '"endpoint":"/mutate","request_id":"ci-mutate-probe"' "$tmpdir/flight.ndjson" \
+    || { echo "ci: flight recorder missed the probe mutation commit"; exit 1; }
 curl -sf "http://$addr/debug/heavy" > "$tmpdir/heavy.json"
 grep -q '"count":' "$tmpdir/heavy.json" \
     || { echo "ci: heavy-hitters tracker is empty after loadgen traffic"; exit 1; }

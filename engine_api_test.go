@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"semsim/internal/datagen"
 )
 
 func TestFacadeBackendSelection(t *testing.T) {
@@ -116,6 +118,49 @@ func TestFacadeAutoPlanIdentity(t *testing.T) {
 	}
 	if want := int64(g.NumNodes()); total != want {
 		t.Errorf("Snapshot shows %d planner decisions, want %d", total, want)
+	}
+}
+
+// TestAutoPlanWithoutMeetIndexIsBrute: without a meet index the planner
+// falls back to the brute scan, never the sem-bounded one. Prop 2.5
+// bounds the exact score (sim <= sem), not Algorithm 1's estimate: on
+// the serving benchmark's graph with serve's options, item-85's top
+// estimate, 0.219, belongs to a node whose sem is 0.076, and the
+// sem-bounded scan cuts it.
+func TestAutoPlanWithoutMeetIndexIsBrute(t *testing.T) {
+	d, err := datagen.Amazon(datagen.AmazonConfig{Items: 1000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tax, err := BuildTaxonomy(d.Graph, TaxonomyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin := NewLin(tax)
+	opts := IndexOptions{NumWalks: 150, WalkLength: 15, C: 0.6, Theta: 0.05,
+		SLINGCutoff: 0.1, Seed: 1, Parallel: true}
+	brute, err := BuildIndex(d.Graph, lin, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.AutoPlan = true
+	auto, err := BuildIndex(d.Graph, lin, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := auto.PlanStrategy(1); got != "brute" {
+		t.Fatalf("plan without a meet index = %q, want brute", got)
+	}
+	u := d.Graph.MustNode("item-85")
+	want := brute.TopK(u, 1)
+	if len(want) != 1 {
+		t.Fatalf("brute top-1 of item-85 = %v", want)
+	}
+	if got := auto.TopK(u, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("AutoPlan top-1 of item-85 = %v, brute = %v", got, want)
+	}
+	if sb := auto.TopKSemBounded(u, 1); reflect.DeepEqual(sb, want) {
+		t.Fatalf("the sem-bounded scan returns brute's %v: the fixture no longer has an estimate above its sem", want)
 	}
 }
 

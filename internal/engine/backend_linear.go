@@ -55,7 +55,7 @@ const DefaultLinearResidual = 1e-9
 // N(u,v) is the SARW normalization SO(u,v) the SLING cache stores, so
 // when the epoch's SO cache has published its dense table (Config.Cache
 // over the same graph and measure) the solve reads N from it instead of
-// re-probing the measure d_u*d_v times per pair.
+// computing it again with a pairgraph.Normalizer.
 //
 // Where the exact backend runs two-matrix Jacobi sweeps with an
 // averaged-delta convergence test (core.Iterative), this solver updates
@@ -85,11 +85,15 @@ func newLinearBackend(ctx context.Context, cfg Config) (Backend, error) {
 	g, sem := cfg.Graph, cfg.Sem
 
 	// N(u,v) is iteration-independent: read it from the epoch's dense
-	// SO table when one is attached, else pay its O(n^2 d^2) here. Both
-	// are pairgraph.SO's arithmetic, so the solve is bit-identical.
-	norm := func(u, v hin.NodeID) float64 { return pairgraph.SO(g, sem, u, v) }
-	if t, ok := cfg.Cache.Table(g, sem); ok {
-		norm = t.At
+	// SO table when one is attached, else compute it row by row here.
+	// The table was filled by the same normalizer's rows, so the solve
+	// is bit-identical.
+	table, shared := cfg.Cache.Table(g, sem)
+	var row *pairgraph.Row
+	var scratch []float64
+	if !shared {
+		row = pairgraph.NewNormalizer(g, sem).NewRow()
+		scratch = make([]float64, n)
 	}
 
 	// The coefficient matrix of the linearized system, upper triangle
@@ -103,11 +107,19 @@ func newLinearBackend(ctx context.Context, cfg Config) (Backend, error) {
 		krow := kappa[off : off+n-u]
 		off += n - u
 		if len(g.InNeighbors(hin.NodeID(u))) > 0 {
+			var nrow []float64 // nrow[v-u] = N(u,v)
+			if shared {
+				nrow = table.Row(hin.NodeID(u))
+			} else {
+				nrow = scratch[:n-u]
+				row.Reset(hin.NodeID(u))
+				row.Fill(nrow)
+			}
 			for v := u; v < n; v++ {
 				if len(g.InNeighbors(hin.NodeID(v))) == 0 {
 					continue
 				}
-				nv := norm(hin.NodeID(u), hin.NodeID(v))
+				nv := nrow[v-u]
 				if nv == 0 {
 					continue
 				}

@@ -263,8 +263,11 @@ func TestPlannerDecisions(t *testing.T) {
 	}{
 		// Small graph, no meet index: brute wins.
 		{"small no meet", Stats{Nodes: 20, NumWalks: 100, WalkLength: 10}, StrategyBrute},
-		// Large graph, no meet index: sem-bounded early termination.
-		{"large no meet", Stats{Nodes: 5000, NumWalks: 100, WalkLength: 10}, StrategySemBounded},
+		// Large graph, no meet index: brute, never the sem-bounded scan,
+		// whose list can differ from brute's.
+		{"large no meet", Stats{Nodes: 5000, NumWalks: 100, WalkLength: 10}, StrategyBrute},
+		{"large no meet dense kernel", Stats{Nodes: 5000, NumWalks: 100, WalkLength: 10,
+			DenseSemKernel: true}, StrategyBrute},
 		// Short-lived walks: 2 cells per query plus as many
 		// co-locations, far below 500,000 walk scans.
 		{"sparse meet", Stats{Nodes: 5000, NumWalks: 100, WalkLength: 10,
@@ -274,10 +277,10 @@ func TestPlannerDecisions(t *testing.T) {
 		// fall through to brute.
 		{"dense meet small", Stats{Nodes: 20, NumWalks: 100, WalkLength: 10,
 			HasMeet: true, MeetEntries: 20 * 100 * 11}, StrategyBrute},
-		// The same walks on a graph just past the dense-kernel floor:
-		// still too small for collision, so sem-bounded.
+		// The same walks on a slightly larger graph: still too small
+		// for collision, so brute.
 		{"dense meet small dense kernel", Stats{Nodes: 40, NumWalks: 100, WalkLength: 15,
-			HasMeet: true, MeetEntries: 40 * 100 * 16, DenseSemKernel: true}, StrategySemBounded},
+			HasMeet: true, MeetEntries: 40 * 100 * 16, DenseSemKernel: true}, StrategyBrute},
 		// The serving benchmark's shape (1,110 nodes, n_w 150, t 15,
 		// every walk live): 2,400 cells and about as many co-locations,
 		// doubled, against 166,500 walk scans.
@@ -292,7 +295,7 @@ func TestPlannerDecisions(t *testing.T) {
 		// matter what LinearSolved claims: fall through to the usual
 		// large-graph choice.
 		{"linear above cap", Stats{Nodes: 5000, NumWalks: 100, WalkLength: 10,
-			LinearSolved: true, LinearMaxNodes: 4096}, StrategySemBounded},
+			LinearSolved: true, LinearMaxNodes: 4096}, StrategyBrute},
 		// An explicit budget below the default is honored.
 		{"linear above custom cap", Stats{Nodes: 100, NumWalks: 100, WalkLength: 10,
 			LinearSolved: true, LinearMaxNodes: 64}, StrategyBrute},

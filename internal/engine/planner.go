@@ -9,9 +9,11 @@ import (
 )
 
 // Strategy identifies one top-k execution plan over the Monte-Carlo
-// estimator. All strategies return the identical result set (the
-// equivalence suite asserts bit-identical output); they differ only in
-// which candidates they touch and in what order.
+// estimator. The strategies the planner picks (brute, collision and,
+// over a solved linearization, linear) return the identical result set
+// (the equivalence suite asserts bit-identical output); they differ only
+// in which candidates they touch and in what order. StrategySemBounded
+// does not, and the planner never picks it.
 type Strategy uint8
 
 const (
@@ -20,9 +22,12 @@ const (
 	// graphs where candidate enumeration overhead dominates.
 	StrategyBrute Strategy = iota
 	// StrategySemBounded scans candidates in descending semantic order
-	// and stops once Prop 2.5 (sim <= sem) proves no later candidate
-	// can enter the heap. Wins when the semantic measure separates the
-	// graph well; inherently sequential.
+	// and stops once sem(u,v), Prop 2.5's bound on the exact score,
+	// falls below the heap's k-th estimate. Algorithm 1's
+	// importance-sampled estimate is not bounded by sem, so a candidate
+	// whose estimate exceeds its sem can be cut and the list can differ
+	// from brute's. Only callers that force it run it; inherently
+	// sequential.
 	StrategySemBounded
 	// StrategyCollision scores only candidates whose walks actually
 	// meet u's, enumerated from u's own cells of the walk-keyed meet
@@ -74,9 +79,9 @@ type Stats struct {
 	// is the number of cells a collision enumeration reads per query.
 	MeetEntries int64
 	// DenseSemKernel reports that semantic evaluations go through a
-	// dense precomputed kernel (one array read each), which moves the
-	// break-even point of the sem-bounded scan: its n upfront semantic
-	// probes become nearly free, leaving only the sort overhead.
+	// dense precomputed kernel (one array read each). The planner no
+	// longer reads it: it priced the sem-bounded scan, which the planner
+	// no longer picks.
 	DenseSemKernel bool
 	// LinearSolved reports that the serving backend holds a converged
 	// linearized solve (backend "linear"): queries are matrix reads,
@@ -107,17 +112,6 @@ func CollectStats(g *hin.Graph, walks *walk.Index, meet *walk.MeetIndex) Stats {
 	}
 	return st
 }
-
-// semBoundedMinNodes is the candidate-count floor below which the
-// sem-bounded scan's sort overhead (O(n log n) on top of n semantic
-// evaluations) outweighs what early termination can save; smaller
-// graphs brute-scan in parallel instead. With a dense semantic kernel
-// the n upfront probes are single array reads, so the floor drops to
-// semBoundedMinNodesDense.
-const (
-	semBoundedMinNodes      = 128
-	semBoundedMinNodesDense = 32
-)
 
 // Planner picks a top-k execution strategy per query from the recorded
 // statistics and counts every decision into the observability registry
@@ -191,18 +185,18 @@ func (st Stats) linearCap() int {
 
 // pick applies the cost model. A converged linearized solve beats
 // every sampling strategy — one row of O(1) reads — so it is checked
-// first, guarded by the solve's node budget. The two scan families are
-// then compared by their dominant term:
+// first, guarded by the solve's node budget. The two scans are then
+// compared by their dominant term:
 //
 //   - brute probes all n candidates, each a Meet scan over n_w coupled
 //     walks: ~n * n_w walk comparisons;
 //   - collision reads only u's own cells of the walk-keyed meet index,
 //     one per live walk position — MeetEntries/n on average — and
 //     visits about as many coupled co-locations in them, independent
-//     of n, which is exactly why it wins at scale;
-//   - sem-bounded replaces the walk scans with n cheap semantic
-//     evaluations plus a sort, profitable once n clears the sort
-//     overhead floor.
+//     of n, which is exactly why it wins at scale.
+//
+// Brute is the fallback. The sem-bounded scan is never picked: it is
+// not result-identical (see StrategySemBounded).
 func (p *Planner) pick() Strategy {
 	st := p.stats
 	if st.LinearSolved && st.Nodes <= st.linearCap() {
@@ -218,13 +212,6 @@ func (p *Planner) pick() Strategy {
 		if collision*2 < brute {
 			return StrategyCollision
 		}
-	}
-	floor := semBoundedMinNodes
-	if st.DenseSemKernel {
-		floor = semBoundedMinNodesDense
-	}
-	if st.Nodes >= floor {
-		return StrategySemBounded
 	}
 	return StrategyBrute
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"semsim/internal/hin"
+	"semsim/internal/semantic"
 	"semsim/internal/walk"
 )
 
@@ -161,7 +162,17 @@ func TestQueryBatchSharedCache(t *testing.T) {
 func TestSOCacheConcurrent(t *testing.T) {
 	const n = 32
 	g := randomGraph(51, n, 4*n, true)
-	m := randomMeasure(52, n)
+	measures := map[string]semantic.Measure{
+		"random": randomMeasure(52, n),
+		"kernel": newTestKernel(t, semantic.Lin{Tax: randomTaxonomy(t, 53, n)}, n),
+	}
+	for name, m := range measures {
+		t.Run(name, func(t *testing.T) { soCacheConcurrent(t, g, m) })
+	}
+}
+
+func soCacheConcurrent(t *testing.T, g *hin.Graph, m semantic.Measure) {
+	n := g.NumNodes()
 	cache := NewSOCache(g, m, 0.1)
 	direct := NewSOCache(g, m, 0.1) // serial twin for expected values
 

@@ -82,6 +82,7 @@ type Estimator struct {
 	c       float64
 	theta   float64
 	cache   *SOCache
+	norm    *pairgraph.Normalizer // N without a cache
 	workers int
 	m       instruments
 }
@@ -103,7 +104,7 @@ func New(ix *walk.Index, sem semantic.Measure, opts Options) (*Estimator, error)
 		workers = runtime.GOMAXPROCS(0)
 	}
 	registerCacheMetrics(opts.Metrics, opts.Cache)
-	return &Estimator{
+	e := &Estimator{
 		ix:      ix,
 		g:       ix.Graph(),
 		sem:     sem,
@@ -112,7 +113,11 @@ func New(ix *walk.Index, sem semantic.Measure, opts Options) (*Estimator, error)
 		cache:   opts.Cache,
 		workers: workers,
 		m:       newInstruments(opts.Metrics),
-	}, nil
+	}
+	if e.cache == nil {
+		e.norm = pairgraph.NewNormalizer(e.g, sem)
+	}
+	return e, nil
 }
 
 // Cache returns the attached SO cache, or nil.
@@ -135,16 +140,13 @@ func (e *Estimator) scoringWorkers(n int) int {
 // so returns the SARW normalization for the pair (a,b), via the cache when
 // one is attached, and whether it came from cache storage (for cost
 // accounting; without a cache every probe is a full recomputation, i.e.
-// a miss). The pair is canonicalized so that cached and direct
-// computations sum in the same order (bit-identical results).
+// a miss). Both come from a pairgraph.Normalizer, which canonicalizes
+// the pair, so cached and direct values are bit-identical.
 func (e *Estimator) so(a, b hin.NodeID) (float64, bool) {
-	if a > b {
-		a, b = b, a
-	}
 	if e.cache != nil {
 		return e.cache.SO(a, b)
 	}
-	return pairgraph.SO(e.g, e.sem, a, b), false
+	return e.norm.N(a, b), false
 }
 
 // QueryCost estimates sim(u,v) with Algorithm 1, charging the work
@@ -456,9 +458,10 @@ func (e *Estimator) finishTopK(t0 time.Time, candidates int) {
 // (sim(u,v) <= sem(u,v)): candidates are scanned in descending
 // semantic-similarity order, and the scan stops as soon as the heap
 // holds k results whose k-th score beats the next candidate's semantic
-// bound — no later candidate can displace anything. Results are
-// identical to TopKCost; only the number of walk-coupling evaluations
-// shrinks. The early-terminated scan is inherently sequential, so this
+// bound. The bound holds for the exact score, not for the
+// importance-sampled estimate, which can exceed sem(u,v): a later
+// candidate whose estimate does is cut, so the list can differ from
+// TopKCost's. The early-terminated scan is inherently sequential, so this
 // path does not use the pool. co (nil for none) is charged the scan's
 // work, including the n-1 semantic bound probes of the candidate sort.
 func (e *Estimator) TopKSemBoundedCost(u hin.NodeID, k int, co *obs.Cost) []rank.Scored {

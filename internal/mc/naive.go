@@ -20,7 +20,7 @@ import (
 // (PrecomputeStorageBytes), the quadratic blowup that motivates the
 // importance-sampling estimator. Here walks are drawn at query time.
 type NaiveSampler struct {
-	g    *hin.Graph
+	z    *pairgraph.Normalizer
 	sem  semantic.Measure
 	c    float64
 	nw   int
@@ -36,7 +36,7 @@ func NewNaiveSampler(g *hin.Graph, sem semantic.Measure, c float64, numWalks, le
 	if numWalks < 1 || length < 1 {
 		return nil, fmt.Errorf("mc: numWalks (%d) and length (%d) must be >= 1", numWalks, length)
 	}
-	return &NaiveSampler{g: g, sem: sem, c: c, nw: numWalks, t: length, seed: seed}, nil
+	return &NaiveSampler{z: pairgraph.NewNormalizer(g, sem), sem: sem, c: c, nw: numWalks, t: length, seed: seed}, nil
 }
 
 // Query estimates sim(u,v) by sampling n_w coupled SARWs from (u,v).
@@ -63,7 +63,7 @@ func (s *NaiveSampler) Query(u, v hin.NodeID) float64 {
 func (s *NaiveSampler) sampleMeeting(u, v hin.NodeID, rng *rand.Rand) (tau int, ok bool) {
 	cur := pairgraph.MakePair(u, v)
 	for step := 1; step <= s.t; step++ {
-		trs := pairgraph.Transitions(s.g, s.sem, cur)
+		trs := s.z.Transitions(cur)
 		if len(trs) == 0 {
 			return 0, false
 		}

@@ -31,9 +31,14 @@ import (
 // the stored values as a flat triangular float64 table: probes then skip
 // the stripe lock and map lookup entirely — one array read — which is
 // what puts a warmed SemSim query within reach of plain SimRank.
+//
+// Every value, stored or recomputed, comes from the cache's one
+// pairgraph.Normalizer, built with the cache: table rows through its
+// row cursor, lazy probes pair by pair, with the same bits either way.
 type SOCache struct {
 	g      *hin.Graph
 	sem    semantic.Measure
+	norm   *pairgraph.Normalizer
 	cutoff float64
 	dense  atomic.Pointer[soDense]
 	shards [soCacheShards]soShard
@@ -83,7 +88,7 @@ func NewSOCache(g *hin.Graph, sem semantic.Measure, cutoff float64) *SOCache {
 	if cutoff <= 0 {
 		cutoff = DefaultSOCutoff
 	}
-	c := &SOCache{g: g, sem: sem, cutoff: cutoff}
+	c := &SOCache{g: g, sem: sem, norm: pairgraph.NewNormalizer(g, sem), cutoff: cutoff}
 	for i := range c.shards {
 		c.shards[i].vals = make(map[uint64]float64)
 	}
@@ -97,7 +102,7 @@ func (c *SOCache) shardOf(k uint64) *soShard {
 // SO returns the normalization for (a,b), caching it when the pair's
 // semantic similarity reaches the cutoff, and reports whether the value
 // came from cache storage (the dense table or a stripe-map entry) rather
-// than a fresh O(d^2) recomputation. The pair is canonicalized so
+// than a fresh recomputation. The pair is canonicalized so
 // results are bit-identical regardless of argument order.
 func (c *SOCache) SO(a, b hin.NodeID) (so float64, stored bool) {
 	if a > b {
@@ -116,7 +121,7 @@ func (c *SOCache) SO(a, b hin.NodeID) (so float64, stored bool) {
 		sh.hits.Add(1)
 		return v, true
 	}
-	v = pairgraph.SO(c.g, c.sem, a, b)
+	v = c.norm.N(a, b)
 	if c.sem.Sim(a, b) >= c.cutoff {
 		// A worker that missed the same pair concurrently may have stored
 		// it first; then this probe is a hit on its value.
@@ -135,7 +140,7 @@ func (c *SOCache) SO(a, b hin.NodeID) (so float64, stored bool) {
 
 // Precompute eagerly fills the cache for every pair with sem >= cutoff —
 // the offline SLING index build — using all available CPUs. It is O(n^2)
-// semantic probes plus O(d^2) per stored pair. It may not run
+// semantic probes plus one normalization per stored pair. It may not run
 // concurrently with itself but may overlap live SO queries.
 func (c *SOCache) Precompute() { c.PrecomputeParallel(0) }
 
@@ -144,15 +149,16 @@ func (c *SOCache) Precompute() { c.PrecomputeParallel(0) }
 // warm: each pair's SO is deterministic, and which pairs are stored
 // depends only on the cutoff, not on scheduling.
 func (c *SOCache) PrecomputeParallel(workers int) {
-	forEachRow(c.g.NumNodes(), workers, c.precomputeRow)
+	forEachRow(c.norm, c.g.NumNodes(), workers, func(_ *pairgraph.Row, u int) { c.precomputeRow(u) })
 }
 
-// forEachRow calls row(u) for every u in [0,n) on up to workers
+// forEachRow calls row(r, u) for every u in [0,n) on up to workers
 // goroutines (<= 0 uses GOMAXPROCS) and returns once all rows are done.
-// Rows are handed out one at a time: row u of a triangular table costs
-// O(n-u), so contiguous chunks would leave the high-row worker idle half
-// the time.
-func forEachRow(n, workers int, row func(u int)) {
+// Each goroutine owns one row cursor of z, r, which row resets when it
+// needs one. Rows are handed out one at a time: row u of a triangular
+// table costs O(n-u), so contiguous chunks would leave the high-row
+// worker idle half the time.
+func forEachRow(z *pairgraph.Normalizer, n, workers int, row func(r *pairgraph.Row, u int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -160,8 +166,9 @@ func forEachRow(n, workers int, row func(u int)) {
 		workers = n
 	}
 	if workers <= 1 {
+		r := z.NewRow()
 		for u := 0; u < n; u++ {
-			row(u)
+			row(r, u)
 		}
 		return
 	}
@@ -171,8 +178,9 @@ func forEachRow(n, workers int, row func(u int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			r := z.NewRow()
 			for u := int(next.Add(1)) - 1; u < n; u = int(next.Add(1)) - 1 {
-				row(u)
+				row(r, u)
 			}
 		}()
 	}
@@ -186,7 +194,7 @@ func (c *SOCache) precomputeRow(u int) {
 		a, b := hin.NodeID(u), hin.NodeID(v)
 		if c.sem.Sim(a, b) >= c.cutoff {
 			k := pairkey.Key(a, b)
-			so := pairgraph.SO(c.g, c.sem, a, b)
+			so := c.norm.N(a, b)
 			sh := c.shardOf(k)
 			sh.mu.Lock()
 			sh.vals[k] = so
@@ -199,8 +207,8 @@ func (c *SOCache) precomputeRow(u int) {
 // when n*(n+1)/2 float64 cells fit the budget (<= 0 uses
 // DefaultSODenseBudget), and reports whether it did. It subsumes
 // Precompute: values are bit-identical to the map-mode warm and to the
-// lazy recomputes (same deterministic pairgraph.SO on the same canonical
-// pair) — the table merely extends storage to the below-cutoff pairs the
+// lazy recomputes (the normalizer's row cursor returns its per-pair
+// bits) — the table merely extends storage to the below-cutoff pairs the
 // striped maps would recompute on every probe. Call it at build time:
 // once published, probes never touch the stripe maps again.
 func (c *SOCache) EnableDense(budget int64, workers int) bool {
@@ -213,11 +221,9 @@ func (c *SOCache) EnableDense(budget int64, workers int) bool {
 		return false
 	}
 	d := newSODense(n)
-	forEachRow(n, workers, func(u int) {
-		row := d.vals[d.rowOff[u]:]
-		for v := u; v < n; v++ {
-			row[v] = pairgraph.SO(c.g, c.sem, hin.NodeID(u), hin.NodeID(v))
-		}
+	forEachRow(c.norm, n, workers, func(r *pairgraph.Row, u int) {
+		r.Reset(hin.NodeID(u))
+		r.Fill(d.row(u))
 	})
 	c.dense.Store(d)
 	return true
@@ -235,6 +241,11 @@ func newSODense(n int) *soDense {
 	return d
 }
 
+// row returns triangle row a: element i is cell (a, a+i).
+func (d *soDense) row(a int) []float64 {
+	return d.vals[d.rowOff[a]+int64(a) : d.rowOff[a]+int64(d.n)]
+}
+
 // Dense reports whether the flat-table read path is active.
 func (c *SOCache) Dense() bool { return c.dense.Load() != nil }
 
@@ -244,13 +255,8 @@ func (c *SOCache) Dense() bool { return c.dense.Load() != nil }
 // counter — they are set-up work, not query traffic.
 type SOTable struct{ d *soDense }
 
-// At returns SO(a,b), in either argument order.
-func (t SOTable) At(a, b hin.NodeID) float64 {
-	if a > b {
-		a, b = b, a
-	}
-	return t.d.vals[t.d.rowOff[a]+int64(b)]
-}
+// Row returns the table's triangle row u: element i is SO(u, u+i).
+func (t SOTable) Row(u hin.NodeID) []float64 { return t.d.row(int(u)) }
 
 // Table returns the published dense table when the cache normalizes
 // exactly g under sem. ok is false on a nil cache, before EnableDense,

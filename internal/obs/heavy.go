@@ -11,21 +11,19 @@ import "sync"
 // minimum tracked count is guaranteed to be present — exactly the
 // guarantee an "expensive nodes" debug endpoint needs.
 //
-// Observations take a mutex; at serving request rates (one Observe per
-// HTTP request, capacity ~64) this is noise, and the hot query path
-// itself never touches the tracker. Nil is off.
+// The entries live in a fixed slice with a key -> slot index; an
+// eviction rescans the slice for the minimum and reuses its slot, so
+// Observe allocates nothing once the table is full, even when uniform
+// traffic misses it on almost every call. Observations take a mutex;
+// at serving request rates (one Observe per HTTP request, capacity ~64)
+// this is noise, and the hot query path itself never touches the
+// tracker. Nil is off.
 type HeavyHitters struct {
 	mu       sync.Mutex
-	cap      int
-	entries  map[string]*heavyEntry
+	entries  []HeavyEntry     // capacity fixed at construction
+	slot     map[string]int32 // key -> index into entries
 	observed Counter
 	evicted  Counter
-}
-
-type heavyEntry struct {
-	key   string
-	count int64
-	err   int64
 }
 
 // HeavyEntry is one reported heavy hitter. Count over-estimates the true
@@ -45,8 +43,8 @@ func NewHeavyHitters(capacity int, r *Registry) *HeavyHitters {
 		return nil
 	}
 	h := &HeavyHitters{
-		cap:     capacity,
-		entries: make(map[string]*heavyEntry, capacity),
+		entries: make([]HeavyEntry, 0, capacity),
+		slot:    make(map[string]int32, capacity),
 	}
 	if r != nil {
 		r.GaugeFunc("semsim_heavy_tracked_keys",
@@ -76,27 +74,31 @@ func (h *HeavyHitters) Observe(key string, cost int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.observed.Add(1)
-	if e, ok := h.entries[key]; ok {
-		e.count += cost
+	if i, ok := h.slot[key]; ok {
+		h.entries[i].Count += cost
 		return
 	}
-	if len(h.entries) < h.cap {
-		h.entries[key] = &heavyEntry{key: key, count: cost}
+	if len(h.entries) < cap(h.entries) {
+		h.slot[key] = int32(len(h.entries))
+		h.entries = append(h.entries, HeavyEntry{Key: key, Count: cost})
 		return
 	}
-	// Space-saving eviction: replace the minimum-count entry; the new
-	// key inherits its count as an upper error bound. Linear scan is
-	// fine at the capacities this tracker runs at (~64).
-	var min *heavyEntry
-	for _, e := range h.entries {
-		if min == nil || e.count < min.count ||
-			(e.count == min.count && e.key < min.key) {
-			min = e
+	// Space-saving eviction: replace the minimum-count entry (ties to
+	// the smaller key); the new key inherits its count as an upper
+	// error bound. Linear scan is fine at the capacities this tracker
+	// runs at (~64).
+	m := 0
+	for i := 1; i < len(h.entries); i++ {
+		e, low := &h.entries[i], &h.entries[m]
+		if e.Count < low.Count || (e.Count == low.Count && e.Key < low.Key) {
+			m = i
 		}
 	}
+	victim := h.entries[m]
 	h.evicted.Add(1)
-	delete(h.entries, min.key)
-	h.entries[key] = &heavyEntry{key: key, count: min.count + cost, err: min.count}
+	delete(h.slot, victim.Key)
+	h.slot[key] = int32(m)
+	h.entries[m] = HeavyEntry{Key: key, Count: victim.Count + cost, Err: victim.Count}
 }
 
 // Top returns up to n entries in descending count order (ties broken by
@@ -106,10 +108,8 @@ func (h *HeavyHitters) Top(n int) []HeavyEntry {
 		return nil
 	}
 	h.mu.Lock()
-	out := make([]HeavyEntry, 0, len(h.entries))
-	for _, e := range h.entries {
-		out = append(out, HeavyEntry{Key: e.key, Count: e.count, Err: e.err})
-	}
+	out := make([]HeavyEntry, len(h.entries))
+	copy(out, h.entries)
 	h.mu.Unlock()
 	// Insertion sort: capacity is small and Top runs off the hot path.
 	for i := 1; i < len(out); i++ {

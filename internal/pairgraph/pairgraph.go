@@ -38,8 +38,10 @@ func (p Pair) Singleton() bool { return p.U == p.V }
 
 // SO computes the semantic-aware normalization of Definition 3.1 for the
 // pair (u,v): sum over (a,b) in I(u) x I(v) of W(a,u)*W(b,v)*sem(a,b).
-// This is also the N(u,v) normalization of the iterative form, and the
-// O(d^2) quantity the SLING-style cache in package mc memoizes.
+// This is also the N(u,v) normalization of the iterative form. It is
+// the d_u*d_v double loop a Normalizer falls back to when its measure
+// is not a dense kernel, and the reference its factored form is tested
+// against; callers go through a Normalizer.
 func SO(g *hin.Graph, sem semantic.Measure, u, v hin.NodeID) float64 {
 	iu := g.InNeighbors(u)
 	iv := g.InNeighbors(v)
@@ -63,19 +65,20 @@ type Transition struct {
 
 // Transitions enumerates the SARW distribution out of (u,v): the surfers
 // step (backwards) to (a,b) in I(u) x I(v) with probability
-// W(a,u)*W(b,v)*sem(a,b) / SO(u,v). Mirror targets (a,b)/(b,a) are
+// W(a,u)*W(b,v)*sem(a,b) / N(u,v). Mirror targets (a,b)/(b,a) are
 // accumulated onto the canonical pair. The slice is freshly allocated.
 //
 // Singleton sources return nil: only the first meeting matters, so
 // out-edges of singletons are removed (Section 3.2).
-func Transitions(g *hin.Graph, sem semantic.Measure, p Pair) []Transition {
+func (z *Normalizer) Transitions(p Pair) []Transition {
 	if p.Singleton() {
 		return nil
 	}
-	so := SO(g, sem, p.U, p.V)
+	so := z.N(p.U, p.V)
 	if so == 0 {
 		return nil
 	}
+	g, sem := z.g, z.sem
 	iu := g.InNeighbors(p.U)
 	iv := g.InNeighbors(p.V)
 	wu := g.InWeights(p.U)
@@ -103,11 +106,12 @@ func Transitions(g *hin.Graph, sem semantic.Measure, p Pair) []Transition {
 type Full struct {
 	g   *hin.Graph
 	sem semantic.Measure
+	z   *Normalizer
 }
 
 // NewFull wraps g with the SARW structure.
 func NewFull(g *hin.Graph, sem semantic.Measure) *Full {
-	return &Full{g: g, sem: sem}
+	return &Full{g: g, sem: sem, z: NewNormalizer(g, sem)}
 }
 
 // NumNodes reports |V|^2, the ordered-pair node count of G^2.
@@ -150,7 +154,7 @@ func (f *Full) Scores(c float64, iterations int) (*simmat.Matrix, error) {
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
 				var s float64
-				for _, tr := range Transitions(f.g, f.sem, Pair{hin.NodeID(u), hin.NodeID(v)}) {
+				for _, tr := range f.z.Transitions(Pair{hin.NodeID(u), hin.NodeID(v)}) {
 					s += tr.Prob * h[int(tr.To.U)*n+int(tr.To.V)]
 				}
 				next[u*n+v] = c * s
@@ -198,7 +202,7 @@ func (f *Full) PathStats(samplePairs, maxDepth, maxPaths int, seed int64) PathSt
 			continue // single-node graph
 		}
 		st.SampledPairs++
-		found := pathDFS(f.g, f.sem, MakePair(u, v), maxDepth, maxPaths, func(length int) {
+		found := pathDFS(f.z, MakePair(u, v), maxDepth, maxPaths, func(length int) {
 			totalLen += int64(length)
 		})
 		totalPaths += int64(found)
@@ -217,7 +221,7 @@ func (f *Full) PathStats(samplePairs, maxDepth, maxPaths int, seed int64) PathSt
 // invoking visit(length) per path found. Simple paths keep the count
 // meaningful on cyclic pair graphs, where walks with revisits are
 // unbounded. It returns the number found.
-func pathDFS(g *hin.Graph, sem semantic.Measure, p Pair, maxDepth, maxPaths int, visit func(length int)) int {
+func pathDFS(z *Normalizer, p Pair, maxDepth, maxPaths int, visit func(length int)) int {
 	// The expansion budget bounds total DFS work per start pair; without
 	// it a start pair that rarely reaches singletons would explore its
 	// entire depth-bounded neighborhood (d^(2*maxDepth) states).
@@ -230,7 +234,7 @@ func pathDFS(g *hin.Graph, sem semantic.Measure, p Pair, maxDepth, maxPaths int,
 			return
 		}
 		budget--
-		for _, tr := range Transitions(g, sem, q) {
+		for _, tr := range z.Transitions(q) {
 			if found >= maxPaths || budget <= 0 {
 				return
 			}

@@ -58,7 +58,7 @@ func TestTransitionsAreDistribution(t *testing.T) {
 		m := randomMeasure(seed+1, 10)
 		for u := 0; u < 10; u++ {
 			for v := u + 1; v < 10; v++ {
-				trs := Transitions(g, m, Pair{hin.NodeID(u), hin.NodeID(v)})
+				trs := NewNormalizer(g, m).Transitions(Pair{hin.NodeID(u), hin.NodeID(v)})
 				if len(trs) == 0 {
 					continue
 				}
@@ -87,7 +87,7 @@ func TestTransitionsAreDistribution(t *testing.T) {
 func TestSingletonHasNoTransitions(t *testing.T) {
 	g := randomGraph(1, 8, 30)
 	m := randomMeasure(2, 8)
-	if trs := Transitions(g, m, Pair{3, 3}); trs != nil {
+	if trs := NewNormalizer(g, m).Transitions(Pair{3, 3}); trs != nil {
 		t.Fatalf("singleton transitions = %v, want nil", trs)
 	}
 }
@@ -119,7 +119,7 @@ func TestExample32(t *testing.T) {
 	m.Set(canada, author, 0.2)
 	m.Set(author, usa, 0.2)
 
-	trs := Transitions(g, m, Pair{a, bb})
+	trs := NewNormalizer(g, m).Transitions(Pair{a, bb})
 	got := map[Pair]float64{}
 	for _, tr := range trs {
 		got[tr.To] = tr.Prob

@@ -113,12 +113,13 @@ func Reduce(g *hin.Graph, sem semantic.Measure, opts ReduceOptions) (*Reduced, e
 	// O(expansions * |in(u)|*|in(v)|) into O(distinct pairs visited);
 	// on graphs where theta drops most pairs this is the difference
 	// between seconds and hours. The memo is released with the builder.
+	z := NewNormalizer(g, sem)
 	memo := make(map[Pair][]Transition)
 	trans := func(q Pair) []Transition {
 		if t, ok := memo[q]; ok {
 			return t
 		}
-		t := Transitions(g, sem, q)
+		t := z.Transitions(q)
 		memo[q] = t
 		return t
 	}

@@ -339,6 +339,24 @@ func (k *Kernel) memoSim(a, b int32, u, v hin.NodeID) float64 {
 	return s
 }
 
+// Domain reports n, the node domain [0, n) the kernel was prepared for.
+func (k *Kernel) Domain() int { return k.n }
+
+// Class returns the concept class of a node in the domain: Sim of two
+// distinct nodes depends only on their pair of classes.
+func (k *Kernel) Class(v hin.NodeID) int32 { return k.class[v] }
+
+// Cell returns the dense class-pair cell (a,b), in either order: Sim of
+// any two distinct nodes of classes a and b. For a == b that is the
+// distinct same-class value, or 1 for a singleton class. Dense mode
+// only (DenseMode).
+func (k *Kernel) Cell(a, b int32) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	return k.dense[k.rowOff[a]+int64(b)]
+}
+
 // Name implements Measure.
 func (k *Kernel) Name() string { return k.base.Name() + "+kernel" }
 

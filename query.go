@@ -140,12 +140,12 @@ type IndexOptions struct {
 	// (0 uses the engine default, 4096); its solve state is O(n^2).
 	MaxLinearNodes int
 	// AutoPlan attaches the adaptive query planner: each TopK call
-	// picks its execution strategy (collision-driven, sem-bounded or
-	// brute scan) from graph/walk statistics recorded at build time,
-	// instead of the static caller-chosen routing. Decisions are
-	// counted into Metrics as semsim_plan_total{strategy="..."}.
-	// Results are identical across strategies; only the work done per
-	// query changes.
+	// picks its execution strategy (collision-driven or brute scan, or
+	// the linear backend's solved rows) from graph/walk statistics
+	// recorded at build time, instead of the static caller-chosen
+	// routing. Decisions are counted into Metrics as
+	// semsim_plan_total{strategy="..."}. Results are identical across
+	// the strategies it picks; only the work done per query changes.
 	AutoPlan bool
 	// ShadowRate, when > 0, attaches the shadow verifier: 1 of every
 	// ShadowRate Query calls is re-scored on an exact reference backend
@@ -425,7 +425,6 @@ func assemble(g *Graph, sem Measure, ix *walk.Index, opts IndexOptions, epoch ui
 func (snap *snapshot) finish(opts IndexOptions) error {
 	if opts.AutoPlan {
 		st := engine.CollectStats(snap.g, snap.walks, snap.meet)
-		st.DenseSemKernel = snap.kernel != nil && snap.kernel.DenseMode()
 		// The linear strategy is only routable when the backend that
 		// owns the solved score matrix is the one answering queries.
 		st.LinearSolved = opts.Backend == "linear"
@@ -758,7 +757,7 @@ func (ix *Index) Close() {
 }
 
 // PlanStrategy reports the execution strategy the adaptive planner
-// would route a TopK query to ("brute", "sem-bounded" or "collision"),
+// would route a TopK query to ("brute", "collision" or "linear"),
 // without recording a planning decision — introspection for wide-event
 // query logs. Returns "" when the index was built without AutoPlan (the
 // static routing applies).
@@ -771,9 +770,9 @@ func (ix *Index) PlanStrategy(k int) string {
 }
 
 // TopK returns the k nodes most similar to u, descending. With
-// IndexOptions.AutoPlan the execution strategy (collision-driven,
-// sem-bounded or brute scan) is chosen per query by the adaptive
-// planner; otherwise the historical static routing applies — the
+// IndexOptions.AutoPlan the execution strategy (collision-driven or
+// brute scan, or the linear backend's solved rows) is chosen per query
+// by the adaptive planner; otherwise the historical static routing applies — the
 // collision path when a meet index exists (IndexOptions.MeetIndex), the
 // brute scan otherwise. All strategies return the identical result set.
 // An out-of-range u returns nil. TopK is TopKCost without cost
@@ -804,12 +803,14 @@ func (ix *Index) SingleSource(u NodeID) ([]Scored, error) {
 
 // TopKSemBounded is TopK forced onto the sem-bounded strategy of Prop
 // 2.5 (sim <= sem): candidates are scanned in descending semantic order
-// with early termination. Results are identical to TopK.
+// with early termination. Prop 2.5 bounds the exact score, not the
+// Monte-Carlo estimate, which can exceed sem(u,v); such a candidate can
+// be cut, so the list can differ from TopK's.
 //
 // Deprecated: strategy choice belongs to the engine — set
-// IndexOptions.AutoPlan and call TopK; the planner picks the sem-bounded
-// scan whenever it wins. This shim remains for callers that want to
-// force the strategy explicitly.
+// IndexOptions.AutoPlan and call TopK; the planner never picks the
+// sem-bounded scan. This shim remains for callers that want to force
+// the strategy explicitly.
 func (ix *Index) TopKSemBounded(u NodeID, k int) []Scored {
 	if sr, ok := ix.snap.Load().eng.(engine.StrategyRunner); ok {
 		out, err := sr.TopKWithStrategy(u, k, engine.StrategySemBounded)
