@@ -28,12 +28,14 @@ race:
 fuzz-seed:
 	$(GO) test ./internal/walk/ -run Fuzz -v
 	$(GO) test ./internal/engine/conformance/ -run Fuzz -v
+	$(GO) test ./cmd/semsim/ -run Fuzz -v
 
 # Open-ended fuzzing session (not part of ci; run locally).
 FUZZTIME ?= 60s
 fuzz:
 	$(GO) test ./internal/walk/ -fuzz FuzzLoadRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine/conformance/ -fuzz FuzzBackendAgreement -fuzztime $(FUZZTIME)
+	$(GO) test ./cmd/semsim/ -fuzz FuzzServeAPI -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

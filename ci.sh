@@ -32,7 +32,8 @@
 #      strategy identity must hold at every CPU count), plus the
 #      background shadow-reference builder's tests at -count=10
 #   3. fuzz seed corpora as unit tests      (IO robustness regression,
-#      plus the backend-agreement differential fuzzer's seeds)
+#      plus the backend-agreement differential fuzzer's seeds, plus the
+#      serve API fuzzer's: no panic, no 5xx, JSON bodies, sane answers)
 #   4. bench drift guard                    (perf regression — reruns
 #      the hot-path benchmarks and fails on ns/op drift beyond the
 #      noise-sized BENCH_DRIFT_MAX bar, or any new allocation, vs the
@@ -235,6 +236,7 @@ go test -race -count=10 -timeout 300s \
 echo "==> tier 3: fuzz seed corpora"
 go test ./internal/walk/ -run Fuzz
 go test ./internal/engine/conformance/ -run Fuzz
+go test ./cmd/semsim/ -run Fuzz
 
 echo "==> tier 4: bench drift guard (hot paths vs BENCH_query.json)"
 make bench-drift

@@ -19,9 +19,11 @@ package main
 //	/debug/diag            one-shot diagnostics bundle (tar.gz of all of the above)
 //	/healthz               readiness probe: 503 while building/warming, 200 after
 //
-// Errors are structured JSON ({"error": "..."}) with meaningful status
-// codes: 400 for malformed parameters, 404 for unknown nodes (including
-// engine bounds errors), 500 otherwise.
+// Every JSON response is one compact line. Errors are structured JSON
+// ({"error": "..."}) with meaningful status codes: 400 for malformed
+// parameters, 404 for unknown nodes (including engine bounds errors),
+// 500 otherwise; a handler panic is recovered as a 500, its stack
+// logged.
 //
 // POST /mutate accepts {"ops": [...]} where each op is one of
 // {"op":"add_edge","from":N,"to":N,"label":L,"weight":W},
@@ -93,9 +95,11 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -288,7 +292,7 @@ func runServe(g *semsim.Graph, sem semsim.Measure, cfg serveConfig, ready chan<-
 	runtime.GC()
 
 	reg.PublishExpvar("semsim")
-	so := newServeObs(reg, qlog, tracker, watcher)
+	so := newServeObs(reg, qlog, tracker, watcher, logw)
 	handler.Store(newServeMux(idx, so))
 
 	fmt.Fprintf(logw, "semsim: serving on http://%s (backend %s, metrics at /metrics, expvar at /debug/vars, pprof at /debug/pprof/)\n",
@@ -330,9 +334,9 @@ func runServe(g *semsim.Graph, sem semsim.Measure, cfg serveConfig, ready chan<-
 func warmingMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]string{"status": "warming"})
+		writeJSON(w, http.StatusServiceUnavailable, struct {
+			Status string `json:"status"`
+		}{"warming"})
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusServiceUnavailable, "index building, not ready")
@@ -438,10 +442,11 @@ func writeDiagBundle(w io.Writer, idx *semsim.Index, so *serveObs) error {
 	var fl bytes.Buffer
 	so.flightRing.Dump(&fl)
 
+	p := idx.Pin() // the epoch and node count of one epoch
 	buildinfo := map[string]any{
 		"time":  now,
-		"epoch": idx.Epoch(),
-		"nodes": idx.Graph().NumNodes(),
+		"epoch": p.Epoch(),
+		"nodes": p.Graph().NumNodes(),
 	}
 	id := servingIdentity(idx)
 	for i := 0; i < len(id); i += 2 {
@@ -457,11 +462,7 @@ func writeDiagBundle(w io.Writer, idx *semsim.Index, so *serveObs) error {
 		{"flight.ndjson", fl.Bytes()},
 		{"profiles.json", asJSON(map[string]any{"captures": so.watcher.Captures()})},
 		{"slo.json", asJSON(so.slo.Snapshot())},
-		{"heavy.json", asJSON(map[string]any{
-			"capacity": heavyCapacity,
-			"tracked":  so.heavy.Len(),
-			"top":      so.heavy.Top(heavyCapacity),
-		})},
+		{"heavy.json", asJSON(so.heavyReport(heavyCapacity))},
 		{"buildinfo.json", asJSON(buildinfo)},
 	}
 	for _, e := range entries {
@@ -490,12 +491,69 @@ func logFinalSnapshot(w io.Writer, idx *semsim.Index) {
 	}
 }
 
-// writeJSONError replies with the structured error shape every endpoint
-// shares: {"error": "..."} under the given status code.
-func writeJSONError(w http.ResponseWriter, status int, msg string) {
+// writeJSON replies with v as one line of compact JSON under the given
+// status code: the encoding of every JSON response serve sends.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	json.NewEncoder(w).Encode(v)
+}
+
+// errorResponse is the structured error shape every endpoint shares.
+type errorResponse struct {
+	Error string `json:"error"`
+}
+
+// writeJSONError replies with {"error": msg} under the given status code.
+func writeJSONError(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, errorResponse{msg})
+}
+
+// queryResponse is the /query body: the pair's semantic similarity, its
+// SemSim estimate, the plain SimRank estimate on the same walks, and
+// what the SemSim estimate cost.
+type queryResponse struct {
+	U       string       `json:"u"`
+	V       string       `json:"v"`
+	Sem     float64      `json:"sem"`
+	SemSim  float64      `json:"semsim"`
+	SimRank float64      `json:"simrank"`
+	Cost    *semsim.Cost `json:"cost"`
+}
+
+// topkResponse is the /topk body, its results by descending score.
+type topkResponse struct {
+	U       string       `json:"u"`
+	K       int          `json:"k"`
+	Results []topkHit    `json:"results"`
+	Cost    *semsim.Cost `json:"cost"`
+}
+
+type topkHit struct {
+	Node  string  `json:"node"`
+	Score float64 `json:"score"`
+}
+
+// mutateResponse is the /mutate body: the epoch the batch published and
+// what its repair did.
+type mutateResponse struct {
+	Epoch          uint64 `json:"epoch"`
+	Ops            int    `json:"ops"`
+	ResampledWalks int    `json:"resampled_walks"`
+	NewNodes       int    `json:"new_nodes"`
+}
+
+// heavyResponse is the /debug/heavy body and the diag bundle's
+// heavy.json: the most expensive source nodes by cumulative cost.
+type heavyResponse struct {
+	Capacity int              `json:"capacity"`
+	Tracked  int              `json:"tracked"`
+	Top      []obs.HeavyEntry `json:"top"`
+}
+
+// heavyReport lists the heavy-hitters sketch's n most expensive sources.
+func (so *serveObs) heavyReport(n int) heavyResponse {
+	return heavyResponse{Capacity: heavyCapacity, Tracked: so.heavy.Len(), Top: so.heavy.Top(n)}
 }
 
 // errorStatus maps an index error to its HTTP status: engine bounds
@@ -531,14 +589,17 @@ const maxMutateBody = 4 << 20
 const requestIDHeader = "X-Semsim-Request"
 
 // serveObs bundles the per-request observability sinks the API handlers
-// share. Every field except reg may be nil (the corresponding feature
-// is off); the wrap path is nil-safe throughout, per the obs
+// share. Every field except reg and logw may be nil (the corresponding
+// feature is off); the wrap path is nil-safe throughout, per the obs
 // convention.
 type serveObs struct {
 	reg     *semsim.Metrics
 	qlog    *quality.QueryLog
 	slo     *slo.Tracker
 	watcher *profwatch.Watcher
+	// logw is the serve log, which receives a recovered panic's value
+	// and stack.
+	logw io.Writer
 
 	httpHist *obs.Histogram
 	reqTotal map[string]*obs.Counter
@@ -567,9 +628,9 @@ const heavyCapacity = 64
 // newServeObs registers the HTTP-layer series and draws the random
 // request-ID prefix that makes IDs from different processes distinct.
 func newServeObs(reg *semsim.Metrics, qlog *quality.QueryLog, tracker *slo.Tracker,
-	watcher *profwatch.Watcher) *serveObs {
+	watcher *profwatch.Watcher, logw io.Writer) *serveObs {
 	so := &serveObs{
-		reg: reg, qlog: qlog, slo: tracker, watcher: watcher,
+		reg: reg, qlog: qlog, slo: tracker, watcher: watcher, logw: logw,
 		httpHist: reg.Histogram("semsim_http_request_seconds",
 			"End-to-end HTTP latency of the query API endpoints.", nil),
 		reqTotal:   map[string]*obs.Counter{},
@@ -603,6 +664,26 @@ type reqInfo struct {
 	costed bool
 	// mark is the last phase boundary.
 	mark time.Time
+	// w is the handler's ResponseWriter; it notes whether the response
+	// has started, which decides what a recovered panic can still send.
+	w trackingWriter
+}
+
+// trackingWriter is an http.ResponseWriter that records whether the
+// status line has gone out.
+type trackingWriter struct {
+	http.ResponseWriter
+	wrote bool
+}
+
+func (tw *trackingWriter) WriteHeader(status int) {
+	tw.wrote = true
+	tw.ResponseWriter.WriteHeader(status)
+}
+
+func (tw *trackingWriter) Write(b []byte) (int, error) {
+	tw.wrote = true
+	return tw.ResponseWriter.Write(b)
 }
 
 // maxEventError bounds the error message an event keeps: the flight
@@ -614,6 +695,11 @@ const maxEventError = 256
 // error in the event.
 func (ri *reqInfo) fail(w http.ResponseWriter, status int, msg string) {
 	writeJSONError(w, status, msg)
+	ri.setError(status, msg)
+}
+
+// setError records a failed request's status and error in the event.
+func (ri *reqInfo) setError(status int, msg string) {
 	if len(msg) > maxEventError {
 		// A copy, so that the event does not pin the whole message.
 		msg = strings.Clone(msg[:maxEventError])
@@ -659,13 +745,17 @@ func sanitizeRequestID(s string) string {
 	return s
 }
 
+// apiHandler serves one API request, filling in its event.
+type apiHandler func(http.ResponseWriter, *http.Request, *reqInfo)
+
 // wrap is the request-instrumentation middleware for the API endpoints.
 // It assigns and echoes the request ID, runs the handler on the
 // request's event, then observes that one event everywhere: the HTTP
 // latency histogram, the SLO tracker, the cost histograms and the
 // heavy-hitters sketch, the flight ring and, when one is open, the
 // query log. With the optional sinks off they cost a nil check each.
-func (so *serveObs) wrap(endpoint string, h func(http.ResponseWriter, *http.Request, *reqInfo)) http.HandlerFunc {
+// A handler panic is observed the same way, as a 500 (see run).
+func (so *serveObs) wrap(endpoint string, h apiHandler) http.HandlerFunc {
 	ctr := so.reqTotal[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
@@ -673,8 +763,9 @@ func (so *serveObs) wrap(endpoint string, h func(http.ResponseWriter, *http.Requ
 			TimeNS: t0.UnixNano(), Endpoint: endpoint,
 			RequestID: so.requestID(r), Status: http.StatusOK,
 		}}
+		ri.w.ResponseWriter = w
 		w.Header().Set(requestIDHeader, ri.RequestID)
-		h(w, r, ri)
+		cut := so.run(h, r, ri)
 		lat := time.Since(t0)
 		ri.LatencyNS, ri.ErrClass = int64(lat), flight.ClassifyStatus(ri.Status)
 		ctr.Inc()
@@ -686,19 +777,50 @@ func (so *serveObs) wrap(endpoint string, h func(http.ResponseWriter, *http.Requ
 		}
 		so.flightRing.Record(&ri.Record)
 		so.qlog.Log(&ri.Record)
+		if cut {
+			// Abort the response, so that the client cannot take a
+			// body the panic cut short for a whole one.
+			panic(http.ErrAbortHandler)
+		}
 	}
 }
 
-// newServeMux mounts the query API and the debug surfaces. Handlers
-// resolve the graph and measure from the index per request rather than
-// capturing the build-time objects: /mutate advances the epoch, and
-// name resolution must see nodes added since startup.
+// run calls h and recovers a panic in it: the value and stack go to the
+// serve log and the event fails with 500. When nothing has been written
+// yet the client gets the shared JSON error shape; otherwise run
+// reports the response as cut. A handler that aborts its response on
+// purpose (http.ErrAbortHandler) is let go.
+func (so *serveObs) run(h apiHandler, r *http.Request, ri *reqInfo) (cut bool) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		if p == http.ErrAbortHandler {
+			panic(p)
+		}
+		fmt.Fprintf(so.logw, "semsim: panic serving %s (request %s): %v\n%s", ri.Endpoint, ri.RequestID, p, debug.Stack())
+		cut = ri.w.wrote
+		if !cut {
+			writeJSONError(&ri.w, http.StatusInternalServerError, "internal server error")
+		}
+		ri.setError(http.StatusInternalServerError, fmt.Sprint("panic: ", p))
+	}()
+	h(&ri.w, r, ri)
+	return false
+}
+
+// newServeMux mounts the query API and the debug surfaces. Each API
+// request pins one epoch of the index (Index.Pin) and answers entirely
+// from it: /mutate advances the epoch, so name resolution must see
+// nodes added since startup, and the request's event must name the
+// epoch, backend and strategy that answered.
 func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 	mux := http.NewServeMux()
 	reg := so.reg
 
-	node := func(w http.ResponseWriter, r *http.Request, g *semsim.Graph, param string, ri *reqInfo) (semsim.NodeID, bool) {
-		name := r.URL.Query().Get(param)
+	node := func(w http.ResponseWriter, q url.Values, g *semsim.Graph, param string, ri *reqInfo) (semsim.NodeID, bool) {
+		name := q.Get(param)
 		if name == "" {
 			ri.fail(w, http.StatusBadRequest, "missing ?"+param+"=NODE")
 			return 0, false
@@ -710,60 +832,53 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 		}
 		return id, true
 	}
-	writeJSON := func(w http.ResponseWriter, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(v)
+	// pin pins the epoch a request answers from and stamps the request's
+	// event with it and its backend.
+	pin := func(ri *reqInfo) semsim.View {
+		p := idx.Pin()
+		ri.Epoch, ri.Backend = p.Epoch(), p.Backend()
+		return p
 	}
-	// read stamps a read's event with the epoch and backend answering it
-	// and returns the graph its names resolve against.
-	read := func(ri *reqInfo) *semsim.Graph {
-		ri.Epoch, ri.Backend = idx.Epoch(), idx.Backend()
-		return idx.Graph()
-	}
-
-	mux.HandleFunc("/query", so.wrap("/query", func(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
-		g := read(ri)
-		u, ok := node(w, r, g, "u", ri)
-		if !ok {
+	// pair resolves a pair read's ?u= and ?v= on p's graph and stamps
+	// the event with the names and the resolve phase.
+	pair := func(w http.ResponseWriter, r *http.Request, p semsim.View, ri *reqInfo) (u, v semsim.NodeID, ok bool) {
+		q, g := r.URL.Query(), p.Graph()
+		if u, ok = node(w, q, g, "u", ri); !ok {
 			return
 		}
-		v, ok := node(w, r, g, "v", ri)
-		if !ok {
+		if v, ok = node(w, q, g, "v", ri); !ok {
 			return
 		}
 		ri.U, ri.V = g.NodeName(u), g.NodeName(v)
 		ri.ResolveNS = ri.lap()
-		ri.Score = idx.QueryCost(u, v, &ri.Cost)
-		semScore := idx.Sem().Sim(u, v)
-		simrank := idx.SimRankQuery(u, v)
+		return u, v, true
+	}
+
+	mux.HandleFunc("/query", so.wrap("/query", func(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
+		p := pin(ri)
+		u, v, ok := pair(w, r, p, ri)
+		if !ok {
+			return
+		}
+		ri.Score = p.QueryCost(u, v, &ri.Cost)
+		resp := queryResponse{
+			U: ri.U, V: ri.V,
+			Sem: p.Sem().Sim(u, v), SemSim: ri.Score, SimRank: p.SimRankQuery(u, v),
+			Cost: &ri.Cost,
+		}
 		ri.costed = true
 		ri.ScoreNS = ri.lap()
-		writeJSON(w, map[string]any{
-			"u":       ri.U,
-			"v":       ri.V,
-			"sem":     semScore,
-			"semsim":  ri.Score,
-			"simrank": simrank,
-			"cost":    &ri.Cost,
-		})
+		writeJSON(w, http.StatusOK, &resp)
 		ri.EncodeNS = ri.lap()
 	}))
 
 	mux.HandleFunc("/explain", so.wrap("/explain", func(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
-		g := read(ri)
-		u, ok := node(w, r, g, "u", ri)
+		p := pin(ri)
+		u, v, ok := pair(w, r, p, ri)
 		if !ok {
 			return
 		}
-		v, ok := node(w, r, g, "v", ri)
-		if !ok {
-			return
-		}
-		ri.U, ri.V = g.NodeName(u), g.NodeName(v)
-		ri.ResolveNS = ri.lap()
-		ex, err := idx.ExplainQuery(u, v)
+		ex, err := p.ExplainQuery(u, v)
 		if err != nil {
 			ri.fail(w, errorStatus(err), err.Error())
 			return
@@ -771,18 +886,19 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 		ex.UName, ex.VName = ri.U, ri.V
 		ri.Cost, ri.costed, ri.Score, ri.CIWidth = ex.Cost, true, ex.Score, ex.CIWidth()
 		ri.ScoreNS = ri.lap()
-		writeJSON(w, ex)
+		writeJSON(w, http.StatusOK, ex)
 		ri.EncodeNS = ri.lap()
 	}))
 
 	mux.HandleFunc("/topk", so.wrap("/topk", func(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
-		g := read(ri)
-		u, ok := node(w, r, g, "u", ri)
+		p := pin(ri)
+		q, g := r.URL.Query(), p.Graph()
+		u, ok := node(w, q, g, "u", ri)
 		if !ok {
 			return
 		}
 		k := 10
-		if s := r.URL.Query().Get("k"); s != "" {
+		if s := q.Get("k"); s != "" {
 			var err error
 			if k, err = strconv.Atoi(s); err != nil || k < 1 {
 				ri.fail(w, http.StatusBadRequest, "bad ?k: want a positive integer")
@@ -791,18 +907,14 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 		}
 		ri.U, ri.K = g.NodeName(u), k
 		ri.ResolveNS = ri.lap()
-		type hit struct {
-			Node  string  `json:"node"`
-			Score float64 `json:"score"`
-		}
-		results := idx.TopKCost(u, k, &ri.Cost)
-		ri.Strategy, ri.Results, ri.costed = idx.PlanStrategy(k), len(results), true
+		results := p.TopKCost(u, k, &ri.Cost)
+		ri.Strategy, ri.Results, ri.costed = p.PlanStrategy(k), len(results), true
 		ri.ScoreNS = ri.lap()
-		hits := []hit{}
-		for _, s := range results {
-			hits = append(hits, hit{g.NodeName(s.Node), s.Score})
+		resp := topkResponse{U: ri.U, K: k, Results: make([]topkHit, len(results)), Cost: &ri.Cost}
+		for i, s := range results {
+			resp.Results[i] = topkHit{g.NodeName(s.Node), s.Score}
 		}
-		writeJSON(w, map[string]any{"u": ri.U, "k": k, "results": hits, "cost": &ri.Cost})
+		writeJSON(w, http.StatusOK, &resp)
 		ri.EncodeNS = ri.lap()
 	}))
 
@@ -830,8 +942,8 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 		mutateMu.Lock()
 		defer mutateMu.Unlock()
 		ri.mark = time.Now() // the wait for the mutation lock is no phase's
-		g := read(ri)
-		m := idx.NewMutator()
+		p := pin(ri)
+		g, m := p.Graph(), p.NewMutator()
 		// Names minted by add_node ops resolve for later ops of the same
 		// batch, so a node and its wiring commit together.
 		minted := map[string]semsim.NodeID{}
@@ -895,17 +1007,15 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 		}
 		ri.Epoch = st.Epoch
 		ri.CommitNS = ri.lap()
-		writeJSON(w, map[string]any{
-			"epoch":           st.Epoch,
-			"ops":             st.Ops,
-			"resampled_walks": st.ResampledWalks,
-			"new_nodes":       st.NewNodes,
+		writeJSON(w, http.StatusOK, mutateResponse{
+			Epoch: st.Epoch, Ops: st.Ops,
+			ResampledWalks: st.ResampledWalks, NewNodes: st.NewNodes,
 		})
 		ri.EncodeNS = ri.lap()
 	}))
 
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, idx.Snapshot())
+		writeJSON(w, http.StatusOK, idx.Snapshot())
 	})
 
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -945,11 +1055,7 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 				n = v
 			}
 		}
-		writeJSON(w, map[string]any{
-			"capacity": heavyCapacity,
-			"tracked":  so.heavy.Len(),
-			"top":      so.heavy.Top(n),
-		})
+		writeJSON(w, http.StatusOK, so.heavyReport(n))
 	})
 
 	// The one-shot diagnostics bundle: everything an incident review

@@ -24,7 +24,15 @@ import (
 // listener/shutdown machinery, for direct handler tests.
 func newTestMux(t *testing.T, qlog *quality.QueryLog) (*http.ServeMux, *semsim.Metrics) {
 	t.Helper()
-	g, lin := smokeGraph(t)
+	mux, _, so := newTestServer(t, qlog)
+	return mux, so.reg
+}
+
+// newTestServer is newTestMux that also returns the index the mux
+// serves and its observability sinks.
+func newTestServer(tb testing.TB, qlog *quality.QueryLog) (*http.ServeMux, *semsim.Index, *serveObs) {
+	tb.Helper()
+	g, lin := smokeGraph(tb)
 	reg := semsim.NewMetrics()
 	idx, err := semsim.BuildIndex(g, lin, semsim.IndexOptions{
 		NumWalks: 60, WalkLength: 8, C: 0.6, Theta: 0.05,
@@ -32,10 +40,11 @@ func newTestMux(t *testing.T, qlog *quality.QueryLog) (*http.ServeMux, *semsim.M
 		MeetIndex: true, AutoPlan: true, // what runServe always enables
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { idx.Close() })
-	return newServeMux(idx, newServeObs(reg, qlog, nil, nil)), reg
+	tb.Cleanup(func() { idx.Close() })
+	so := newServeObs(reg, qlog, nil, nil, io.Discard)
+	return newServeMux(idx, so), idx, so
 }
 
 // TestServeErrorShapes: every endpoint rejects bad input with the shared

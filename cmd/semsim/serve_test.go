@@ -20,7 +20,7 @@ import (
 
 // smokeGraph builds a small two-community co-authorship network with a
 // taxonomy, enough for nonzero similarities and cache traffic.
-func smokeGraph(t *testing.T) (*semsim.Graph, semsim.Measure) {
+func smokeGraph(t testing.TB) (*semsim.Graph, semsim.Measure) {
 	t.Helper()
 	b := semsim.NewGraphBuilder()
 	field := b.AddNode("Field", "category")

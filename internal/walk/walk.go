@@ -242,15 +242,20 @@ func (ix *Index) View(v hin.NodeID, co *obs.Cost) NodeView {
 // score many walks of the same node pair fetch the two views once and
 // call this per walk, keeping the lazy path to one cache probe per
 // node instead of one per step.
+//
+// The scan is bounded by the shorter walk's live length (precomputed at
+// build time), so the loop body is a single equality comparison — no
+// per-step Stop checks. Both walks are sliced to that length first, so
+// the compiler drops the per-step bounds checks as well.
 func MeetViews(a, b NodeView, i int) (tau int, ok bool) {
 	lim := a.lens[i]
 	if l := b.lens[i]; l < lim {
 		lim = l
 	}
-	wa := a.walks[i*a.stride:]
-	wb := b.walks[i*b.stride:]
-	for s := 0; s < int(lim); s++ {
-		if wa[s] == wb[s] {
+	wa := a.walks[i*a.stride:][:lim]
+	wb := b.walks[i*b.stride:][:len(wa)]
+	for s, x := range wa {
+		if x == wb[s] {
 			return s, true
 		}
 	}
@@ -282,27 +287,8 @@ func (ix *Index) Walk(v hin.NodeID, i int) []int32 {
 // (Section 4.1). ok is false if they never meet within t steps.
 //
 // Offset 0 meets only when u == v, matching c^0 = 1 and sim(u,u) = 1.
-// The scan is bounded by the shorter walk's live length (precomputed at
-// build time), so the loop body is a single equality comparison — no
-// per-step Stop checks.
 func (ix *Index) Meet(u, v hin.NodeID, i int) (tau int, ok bool) {
-	if ix.lazy != nil {
-		return MeetViews(ix.lazy.view(u, nil), ix.lazy.view(v, nil), i)
-	}
-	su := int(u)*ix.nw + i
-	sv := int(v)*ix.nw + i
-	lim := ix.lens[su]
-	if l := ix.lens[sv]; l < lim {
-		lim = l
-	}
-	wu := ix.walks[su*ix.stride:]
-	wv := ix.walks[sv*ix.stride:]
-	for s := 0; s < int(lim); s++ {
-		if wu[s] == wv[s] {
-			return s, true
-		}
-	}
-	return 0, false
+	return MeetViews(ix.View(u, nil), ix.View(v, nil), i)
 }
 
 // WalkLen reports the number of live (non-Stop) positions of walk (v, i),

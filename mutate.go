@@ -60,8 +60,14 @@ type CommitStats struct {
 // NewMutator starts a mutation batch against the current epoch. The
 // returned Mutator sees a frozen view: node ids it hands out and edge
 // ops it records resolve against the snapshot current at this call.
-func (ix *Index) NewMutator() *Mutator {
-	return &Mutator{ix: ix, base: ix.snap.Load()}
+func (ix *Index) NewMutator() *Mutator { return ix.Pin().NewMutator() }
+
+// NewMutator starts a mutation batch against the view's epoch, so the
+// names a caller resolved on the view's Graph are the ones the batch
+// builds on. Commit fails with ErrStaleMutator when the view's epoch is
+// no longer current.
+func (p View) NewMutator() *Mutator {
+	return &Mutator{ix: p.ix, base: p.s}
 }
 
 // AddNode schedules a node with a unique external name and vertex

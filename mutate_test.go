@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -523,4 +524,97 @@ func TestMutatorValidation(t *testing.T) {
 			t.Fatalf("Query on new nodes = %v", s)
 		}
 	})
+}
+
+// TestPinnedViewSurvivesCommit: a View pinned before a commit keeps its
+// epoch's answers bit for bit — epoch, graph, pair scores, side-by-side
+// SimRank, top-k, explanation and plan — after an edge and a node
+// commit, while the Index answers the new epoch.
+func TestPinnedViewSurvivesCommit(t *testing.T) {
+	d, err := datagen.Amazon(datagen.AmazonConfig{Items: 40, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := semsim.BuildIndex(d.Graph, d.Lin, semsim.IndexOptions{
+		NumWalks: 48, WalkLength: 8, C: 0.6, Theta: 0.05,
+		SLINGCutoff: 0.1, WarmCache: true, Seed: 9,
+		MeetIndex: true, AutoPlan: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+
+	type answers struct {
+		query, simrank []float64
+		topk           [][]semsim.Scored
+		explain        []semsim.Explanation
+		strategy       string
+	}
+	p := idx.Pin()
+	g, epoch := p.Graph(), p.Epoch()
+	n := g.NumNodes()
+	// Probe pairs that score above 0, from the fewest sources: the
+	// commit below rewires the first source's in-neighbourhood, so it
+	// moves some of their scores.
+	var pairs [][2]semsim.NodeID
+	for u := 0; u < n && len(pairs) < 16; u++ {
+		for v := u + 1; v < n && len(pairs) < 16; v++ {
+			if p.QueryCost(semsim.NodeID(u), semsim.NodeID(v), nil) > 0 {
+				pairs = append(pairs, [2]semsim.NodeID{semsim.NodeID(u), semsim.NodeID(v)})
+			}
+		}
+	}
+	if len(pairs) < 16 {
+		t.Fatalf("only %d pairs score above 0", len(pairs))
+	}
+	read := func(p semsim.View) answers {
+		var a answers
+		for _, pr := range pairs {
+			var co semsim.Cost
+			a.query = append(a.query, p.QueryCost(pr[0], pr[1], &co))
+			a.simrank = append(a.simrank, p.SimRankQuery(pr[0], pr[1]))
+			a.topk = append(a.topk, p.TopKCost(pr[0], 5, &co))
+			ex, err := p.ExplainQuery(pr[0], pr[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Work counts and wall time describe one evaluation, not
+			// the epoch's answer.
+			ex.Cost, ex.ElapsedSeconds = semsim.Cost{}, 0
+			a.explain = append(a.explain, *ex)
+		}
+		a.strategy = p.PlanStrategy(5)
+		return a
+	}
+	before := read(p)
+
+	var label string
+	g.Edges(func(e semsim.Edge) bool { label = e.Label; return false })
+	m := idx.NewMutator()
+	nn := m.AddNode("pinned-view-probe", g.NodeLabel(pairs[0][0]))
+	m.AddEdge(nn, pairs[0][0], label, 1)
+	m.AddEdge(pairs[0][1], pairs[0][0], label, 1)
+	st, err := m.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if p.Epoch() != epoch || p.Graph() != g || p.Graph().NumNodes() != n {
+		t.Fatalf("pinned view moved: epoch %d graph of %d nodes, want epoch %d and the pinned graph of %d",
+			p.Epoch(), p.Graph().NumNodes(), epoch, n)
+	}
+	if _, ok := p.Graph().NodeByName("pinned-view-probe"); ok {
+		t.Fatal("pinned view resolves a node added after it was pinned")
+	}
+	if after := read(p); !reflect.DeepEqual(before, after) {
+		t.Fatalf("pinned view's answers changed across a commit:\nbefore %+v\nafter  %+v", before, after)
+	}
+
+	if idx.Epoch() != st.Epoch || st.Epoch != epoch+1 || idx.Graph().NumNodes() != n+1 {
+		t.Fatalf("index at epoch %d with %d nodes, want epoch %d with %d", idx.Epoch(), idx.Graph().NumNodes(), epoch+1, n+1)
+	}
+	if cur := read(idx.Pin()); reflect.DeepEqual(before.query, cur.query) || reflect.DeepEqual(before.topk, cur.topk) {
+		t.Fatal("the index still answers the pinned epoch after the commit")
+	}
 }

@@ -656,21 +656,49 @@ func wrapKernel(sem Measure, mode string) bool {
 	}
 }
 
+// View is one pinned epoch of an Index: every read through it answers
+// from the same immutable snapshot, however many commits publish
+// meanwhile, so a caller that resolves names, scores and reports the
+// epoch and backend for one request sees them agree by construction.
+// The Index's methods of the same names are these reads on a View
+// pinned at the call. A View is a small value: pinning one allocates
+// nothing, and holding it keeps its epoch's structures alive until it
+// is dropped.
+type View struct {
+	ix *Index // the shadow verifier QueryCost offers its scores to
+	s  *snapshot
+}
+
+// Pin returns a View of the current epoch.
+func (ix *Index) Pin() View { return View{ix: ix, s: ix.snap.Load()} }
+
 // Backend reports the engine backend name the index delegates to.
-func (ix *Index) Backend() string { return ix.snap.Load().eng.Name() }
+func (ix *Index) Backend() string { return ix.Pin().Backend() }
+
+// Backend reports the engine backend name the view's epoch answers with.
+func (p View) Backend() string { return p.s.eng.Name() }
 
 // Graph returns the graph of the current epoch. After a Commit the
 // returned graph is the mutated one; graphs are immutable, so holding an
 // older epoch's graph stays valid.
-func (ix *Index) Graph() *Graph { return ix.snap.Load().g }
+func (ix *Index) Graph() *Graph { return ix.Pin().Graph() }
+
+// Graph returns the graph of the view's epoch.
+func (p View) Graph() *Graph { return p.s.g }
 
 // Sem returns the measure the current epoch scores with — the semantic
 // kernel when one is attached, otherwise the raw measure.
-func (ix *Index) Sem() Measure { return ix.snap.Load().sem }
+func (ix *Index) Sem() Measure { return ix.Pin().Sem() }
+
+// Sem returns the measure the view's epoch scores with.
+func (p View) Sem() Measure { return p.s.sem }
 
 // Epoch reports the current snapshot's epoch: 0 at build, +1 per
 // committed mutation batch.
-func (ix *Index) Epoch() uint64 { return ix.snap.Load().epoch }
+func (ix *Index) Epoch() uint64 { return ix.Pin().Epoch() }
+
+// Epoch reports the view's epoch.
+func (p View) Epoch() uint64 { return p.s.epoch }
 
 // KernelMode reports the semantic kernel's storage mode — "dense" or
 // "memo" — or "" when no kernel is attached (SemanticKernel "off", or
@@ -710,13 +738,16 @@ func (ix *Index) offerShadow(s *snapshot, u, v NodeID, score float64) {
 // probes, lazy walk-block decodes — to co (see Cost). A nil co disables
 // the accounting; the score is the same either way. The exact-family
 // backends answer from a solved matrix and leave co untouched.
-func (ix *Index) QueryCost(u, v NodeID, co *Cost) float64 {
-	s := ix.snap.Load()
-	score, err := s.eng.Query(u, v, co)
+func (ix *Index) QueryCost(u, v NodeID, co *Cost) float64 { return ix.Pin().QueryCost(u, v, co) }
+
+// QueryCost is Index.QueryCost on the view's epoch. A shadow sample is
+// verified against that epoch's reference.
+func (p View) QueryCost(u, v NodeID, co *Cost) float64 {
+	score, err := p.s.eng.Query(u, v, co)
 	if err != nil {
 		return 0
 	}
-	ix.offerShadow(s, u, v, score)
+	p.ix.offerShadow(p.s, u, v, score)
 	return score
 }
 
@@ -727,9 +758,10 @@ func (ix *Index) QueryCost(u, v NodeID, co *Cost) float64 {
 // Query returns on the same index — explaining observes the estimator,
 // it never perturbs it. An out-of-range node returns an error wrapping
 // ErrNodeOutOfRange.
-func (ix *Index) ExplainQuery(u, v NodeID) (*Explanation, error) {
-	return ix.snap.Load().eng.Explain(u, v)
-}
+func (ix *Index) ExplainQuery(u, v NodeID) (*Explanation, error) { return ix.Pin().ExplainQuery(u, v) }
+
+// ExplainQuery is Index.ExplainQuery on the view's epoch.
+func (p View) ExplainQuery(u, v NodeID) (*Explanation, error) { return p.s.eng.Explain(u, v) }
 
 // Close releases the index's background machinery: the shadow
 // reference builder (an in-flight linear or exact build stops at its
@@ -761,12 +793,15 @@ func (ix *Index) Close() {
 // without recording a planning decision — introspection for wide-event
 // query logs. Returns "" when the index was built without AutoPlan (the
 // static routing applies).
-func (ix *Index) PlanStrategy(k int) string {
-	s := ix.snap.Load()
-	if s.planner == nil {
+func (ix *Index) PlanStrategy(k int) string { return ix.Pin().PlanStrategy(k) }
+
+// PlanStrategy is Index.PlanStrategy on the view's epoch: the strategy
+// the view's TopKCost runs.
+func (p View) PlanStrategy(k int) string {
+	if p.s.planner == nil {
 		return ""
 	}
-	return s.planner.Peek().String()
+	return p.s.planner.Peek().String()
 }
 
 // TopK returns the k nodes most similar to u, descending. With
@@ -781,8 +816,11 @@ func (ix *Index) TopK(u NodeID, k int) []Scored { return ix.TopKCost(u, k, nil) 
 
 // TopKCost answers TopK, charging the scan's work to co (see Cost). A
 // nil co disables the accounting; the result is the same either way.
-func (ix *Index) TopKCost(u NodeID, k int, co *Cost) []Scored {
-	out, err := ix.snap.Load().eng.TopK(u, k, co)
+func (ix *Index) TopKCost(u NodeID, k int, co *Cost) []Scored { return ix.Pin().TopKCost(u, k, co) }
+
+// TopKCost is Index.TopKCost on the view's epoch.
+func (p View) TopKCost(u NodeID, k int, co *Cost) []Scored {
+	out, err := p.s.eng.TopK(u, k, co)
 	if err != nil {
 		return nil
 	}
@@ -836,7 +874,10 @@ func (ix *Index) BatchQuery(pairs [][2]NodeID, workers int) ([]float64, error) {
 
 // SimRankQuery estimates the plain SimRank score on the same walk index
 // (the Fogaras–Rácz estimator) — useful for side-by-side comparisons.
-func (ix *Index) SimRankQuery(u, v NodeID) float64 { return ix.snap.Load().srmc.Query(u, v) }
+func (ix *Index) SimRankQuery(u, v NodeID) float64 { return ix.Pin().SimRankQuery(u, v) }
+
+// SimRankQuery is Index.SimRankQuery on the view's epoch.
+func (p View) SimRankQuery(u, v NodeID) float64 { return p.s.srmc.Query(u, v) }
 
 // CacheSummary aggregates the SLING cache's hit/miss counters, derived
 // hit ratio and entry count in one coherent pass (the zero value when
