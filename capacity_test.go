@@ -9,7 +9,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"weak"
 
 	"semsim"
 	"semsim/internal/datagen"
@@ -221,5 +223,110 @@ func TestLazyIndexMutation(t *testing.T) {
 		if got, want := lazy.Query(u, v), resident.Query(u, v); got != want {
 			t.Fatalf("post-commit lazy diverged at (%d,%d): %v != %v", u, v, got, want)
 		}
+	}
+}
+
+// saveLazyFixture builds the small mutation-test index and saves its
+// walks as a v3 file, returning the dataset, the build options and the
+// file's path.
+func saveLazyFixture(t *testing.T) (*datagen.Dataset, semsim.IndexOptions, string) {
+	t.Helper()
+	d, err := datagen.Amazon(datagen.AmazonConfig{Items: 120, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := semsim.IndexOptions{NumWalks: 40, WalkLength: 8, Seed: 3}
+	built, err := semsim.BuildIndex(d.Graph, d.Lin, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer built.Close()
+	path := filepath.Join(t.TempDir(), "walks.v3")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.SaveWalks(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return d, opts, path
+}
+
+// commitEdge commits one edge 1 -> 2 on idx.
+func commitEdge(t *testing.T, idx *semsim.Index) {
+	t.Helper()
+	m := idx.NewMutator()
+	m.AddEdge(1, 2, "cap-test", 1)
+	if _, err := m.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSupersededLazyEpochReleased pins epoch release on a lazy index:
+// once a commit supersedes epoch 0 and no View pins it, epoch 0's walk
+// index — with every block it holds — is garbage, so a run of commits
+// does not accumulate one walk index per epoch until Close.
+func TestSupersededLazyEpochReleased(t *testing.T) {
+	d, opts, path := saveLazyFixture(t)
+	opts.LazyWalks, opts.WalkCacheBytes = true, 64<<10
+	lazy, err := semsim.OpenIndexFile(path, d.Graph, d.Lin, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lazy.Close()
+	epoch0 := weak.Make(semsim.EpochWalks(lazy))
+	commitEdge(t, lazy)
+	runtime.GC()
+	runtime.GC()
+	if epoch0.Value() != nil {
+		t.Fatal("epoch 0's walk index is still reachable after a commit superseded it")
+	}
+	if lazy.Epoch() != 1 || !lazy.LazyWalks() {
+		t.Fatalf("epoch %d lazy=%v after commit", lazy.Epoch(), lazy.LazyWalks())
+	}
+}
+
+// TestWalkIndexBytesGauge pins semsim_walk_index_bytes for every way an
+// index comes to be: built, loaded, or opened lazily, the gauge holds
+// the current epoch's walk-index bytes from epoch 0 on, and again after
+// a commit.
+func TestWalkIndexBytesGauge(t *testing.T) {
+	d, opts, path := saveLazyFixture(t)
+	open := map[string]func(semsim.IndexOptions) (*semsim.Index, error){
+		"build": func(o semsim.IndexOptions) (*semsim.Index, error) {
+			return semsim.BuildIndex(d.Graph, d.Lin, o)
+		},
+		"load": func(o semsim.IndexOptions) (*semsim.Index, error) {
+			return semsim.OpenIndexFile(path, d.Graph, d.Lin, o)
+		},
+		"lazy": func(o semsim.IndexOptions) (*semsim.Index, error) {
+			o.LazyWalks, o.WalkCacheBytes = true, 64<<10
+			return semsim.OpenIndexFile(path, d.Graph, d.Lin, o)
+		},
+	}
+	for name, openIdx := range open {
+		t.Run(name, func(t *testing.T) {
+			o := opts
+			o.Metrics = semsim.NewMetrics()
+			idx, err := openIdx(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idx.Close()
+			check := func(epoch uint64) {
+				t.Helper()
+				got, ok := o.Metrics.Snapshot().Gauges["semsim_walk_index_bytes"]
+				want := semsim.EpochWalks(idx).MemoryBytes()
+				if !ok || got != float64(want) || want <= 0 {
+					t.Fatalf("epoch %d: semsim_walk_index_bytes = %v (present %v), want %d", epoch, got, ok, want)
+				}
+			}
+			check(0)
+			commitEdge(t, idx)
+			check(1)
+		})
 	}
 }

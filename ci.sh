@@ -21,7 +21,9 @@
 #      with /query events in both carrying their phase durations, and the
 #      capacity smoke: datagen -stream emits a v3 walk file, convert
 #      round-trips it through v2, and serve answers from it demand-paged
-#      (-lazy-walks) under a tiny block-cache budget
+#      (-lazy-walks) under a tiny block-cache budget, exports its
+#      walk-index bytes at epoch 0, and commits one /mutate on the
+#      file-backed walks with no block decode errors
 #   2. full test suite under -race          (concurrency correctness —
 #      the stress tests drive 8+ goroutines through one shared cached
 #      Index and assert bit-identical results vs serial runs; includes
@@ -178,7 +180,8 @@ echo "==> tier 1: streaming v3 build + lazy serve smoke"
 # End to end million-node-capacity path at smoke scale: datagen -stream
 # emits a v3 walk file without materializing the walk slab, convert
 # round-trips it through v2, and serve answers from the v3 file
-# demand-paged under a deliberately tiny block-cache budget.
+# demand-paged under a deliberately tiny block-cache budget, before and
+# after one /mutate commit.
 go run ./cmd/datagen -dataset amazon -size 300 -seed 2 -out "$tmpdir/stream.hin" \
     -walks "$tmpdir/stream.walks" -stream -nw 40 -t 6 -walk-seed 1
 "$tmpdir/semsim" convert -graph "$tmpdir/stream.hin" \
@@ -204,14 +207,30 @@ grep -q 'walk_residency="lazy"' "$tmpdir/metrics.lazy" \
     || { echo "ci: build_info does not report lazy residency"; exit 1; }
 grep -q '^semsim_walk_cache_misses_total [1-9]' "$tmpdir/metrics.lazy" \
     || { echo "ci: lazy serve never decoded a block (cache misses flat)"; exit 1; }
+grep -q '^semsim_walk_index_bytes [1-9]' "$tmpdir/metrics.lazy" \
+    || { echo "ci: lazy serve exports no walk-index bytes at epoch 0"; exit 1; }
 # The walk-cache series only exist on a lazy server; lint them too.
 go run ./cmd/promlint -url "http://$addr/metrics"
 curl -sf "http://$addr/query?u=item-1&v=item-2" > /dev/null \
     || { echo "ci: lazy serve query failed"; exit 1; }
+# A served commit on the file-backed walk index: Refresh decodes every
+# file block to find its cuts, and the new epoch answers from blocks it
+# rewrote plus the ones it still reads from the file.
+curl -sf -X POST \
+    -d '{"ops":[{"op":"add_edge","from":"item-1","to":"item-2","label":"co-purchase","weight":1}]}' \
+    "http://$addr/mutate" > /dev/null \
+    || { echo "ci: lazy serve /mutate failed"; exit 1; }
+curl -sf "http://$addr/metrics" > "$tmpdir/metrics.lazy.after"
+grep -q '^semsim_mutator_epoch 1$' "$tmpdir/metrics.lazy.after" \
+    || { echo "ci: lazy serve commit did not publish epoch 1"; exit 1; }
+grep -q '^semsim_walk_decode_errors_total 0$' "$tmpdir/metrics.lazy.after" \
+    || { echo "ci: lazy serve decoded a walk block with errors"; exit 1; }
+curl -sf "http://$addr/query?u=item-1&v=item-2" > /dev/null \
+    || { echo "ci: lazy serve query failed after the commit"; exit 1; }
 kill "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
-echo "    streaming build + convert round-trip + lazy serve green"
+echo "    streaming build + convert round-trip + lazy serve + lazy commit green"
 
 echo "==> tier 2: race detector"
 go test -race ./...

@@ -717,12 +717,20 @@ func (ri *reqInfo) lap() int64 {
 }
 
 // requestID returns the caller-supplied ID when it is well-formed, or
-// mints process-prefix-NNNNNN.
+// mints process-prefix-NNNNNN: the sequence number zero-padded to at
+// least six digits, the text of %s-%06d, assembled on the stack so that
+// the one allocation is the string itself.
 func (so *serveObs) requestID(r *http.Request) string {
 	if id := sanitizeRequestID(r.Header.Get(requestIDHeader)); id != "" {
 		return id
 	}
-	return fmt.Sprintf("%s-%06d", so.idBase, so.idSeq.Add(1))
+	seq := so.idSeq.Add(1)
+	var buf [48]byte
+	b := append(append(buf[:0], so.idBase...), '-')
+	for lim := uint64(100000); lim > seq; lim /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendUint(b, seq, 10))
 }
 
 // sanitizeRequestID accepts IDs of 1..64 chars drawn from

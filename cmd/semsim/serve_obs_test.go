@@ -92,10 +92,11 @@ func TestSanitizeRequestID(t *testing.T) {
 }
 
 // TestRequestIDAssignment: serve echoes a well-formed caller ID, mints
-// one otherwise, and stamps the effective ID into the query log.
+// one otherwise — the text of %s-%06d — and stamps the effective ID into
+// the query log.
 func TestRequestIDAssignment(t *testing.T) {
 	var qbuf bytes.Buffer
-	mux, _ := newTestMux(t, quality.NewQueryLog(&qbuf, nil))
+	mux, _, so := newTestServer(t, quality.NewQueryLog(&qbuf, nil))
 
 	do := func(header string) *httptest.ResponseRecorder {
 		t.Helper()
@@ -159,6 +160,15 @@ func TestRequestIDAssignment(t *testing.T) {
 	for i, id := range ids {
 		if id == "" {
 			t.Errorf("query log event %d has no request_id", i)
+		}
+	}
+
+	// Minted IDs read as fmt's zero-padded decimal at every width.
+	for _, seq := range []uint64{1, 255, 256, 999_999, 1_000_000, 123_456_789} {
+		so.idSeq.Store(seq - 1)
+		want := fmt.Sprintf("%s-%06d", so.idBase, seq)
+		if got := do("").Header().Get(requestIDHeader); got != want {
+			t.Errorf("minted ID at sequence %d = %q, want %q", seq, got, want)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package semsim
 
-import "time"
+import (
+	"time"
+
+	"semsim/internal/walk"
+)
 
 // WaitShadowReference blocks until the current epoch's shadow reference
 // is ready or timeout passes, and reports whether it became ready. The
@@ -14,3 +18,8 @@ func WaitShadowReference(ix *Index, timeout time.Duration) bool {
 		return false
 	}
 }
+
+// EpochWalks returns the current epoch's walk index, so tests can watch
+// one epoch's lifetime (weak pointers) and compare the walk-index
+// gauges with it.
+func EpochWalks(ix *Index) *walk.Index { return ix.snap.Load().walks }

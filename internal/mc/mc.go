@@ -182,8 +182,8 @@ func (e *Estimator) query(u, v hin.NodeID, co *obs.Cost, ex *quality.Explanation
 		ex.MeetsByStep = make([]int64, e.ix.Length()+1)
 	}
 	// One view fetch per node pins both walk blocks for the whole query:
-	// in resident mode this compiles to the same slab indexing as
-	// before; in lazy mode it is two cache probes instead of 2*n_w.
+	// two block-table lookups instead of 2*n_w, and for blocks read from
+	// a lazy index's file two cache probes.
 	vu, vv := e.ix.View(u, co), e.ix.View(v, co)
 	var total, sumSq, sumCube float64
 	var coupled, capped int64

@@ -2,6 +2,7 @@ package walk
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -186,7 +187,8 @@ func Load(r io.Reader, g *hin.Graph) (*Index, error) {
 	}
 }
 
-// loadFlat reads the v2 flat int32 payload and verifies its checksum.
+// loadFlat reads the v2 flat int32 payload into DefaultBlockBytes
+// blocks and verifies its checksum.
 func loadFlat(br *bufio.Reader, g *hin.Graph, n, nw, t, edges int) (*Index, error) {
 	var crcBuf [4]byte
 	if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
@@ -196,34 +198,46 @@ func loadFlat(br *bufio.Reader, g *hin.Graph, n, nw, t, edges int) (*Index, erro
 	if err := checkDims(g, n, nw, t, edges); err != nil {
 		return nil, err
 	}
-	ix := &Index{g: g, n: n, nw: nw, t: t, stride: t + 1}
-	// The walk buffer grows with the bytes actually read rather than
-	// being preallocated from the header: a corrupt header can claim
-	// dimensions whose product is terabytes while the body is empty,
-	// and the upfront make() would OOM before the truncation surfaced.
-	total := n * nw * ix.stride
-	initial := total
-	if initial > 1<<20 {
-		initial = 1 << 20
-	}
-	ix.walks = make([]int32, 0, initial)
-	buf := make([]byte, 4)
+	ix := newIndex(g, n, nw, t, blockNodesFor(DefaultBlockBytes, nw, t+1))
+	stride := ix.stride
+	total := n * nw * stride
+	// A block's bytes are read in full before its slab is sized: the
+	// header caps allow nw*(t+1) ~ 2^36 steps for a single node, and a
+	// corrupt header claiming them over an empty body must cost the
+	// bytes actually supplied, not a make() driven by the claim.
+	var raw bytes.Buffer
 	gotCRC := uint32(0)
-	for i := 0; i < total; i++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("walk: truncated walk data (step %d of %d): %w", i, total, err)
+	for b := range ix.blocks {
+		lo, hi := ix.span(b)
+		first := lo * nw * stride
+		raw.Reset()
+		if k, err := io.CopyN(&raw, br, int64((hi-lo)*nw*stride)*4); err != nil {
+			return nil, fmt.Errorf("walk: truncated walk data (step %d of %d): %w", first+int(k)/4, total, err)
 		}
-		gotCRC = crc32.Update(gotCRC, crc32.IEEETable, buf)
-		step := int32(binary.LittleEndian.Uint32(buf))
-		if step != Stop && (step < 0 || int(step) >= n) {
-			return nil, fmt.Errorf("walk: corrupt walk step %d at offset %d", step, i)
+		p := raw.Bytes()
+		gotCRC = crc32.Update(gotCRC, crc32.IEEETable, p)
+		blk := newBlock(hi-lo, nw, stride)
+		for k := range blk.lens {
+			// A walk's live length is the position of its first Stop.
+			live := stride
+			for s := 0; s < stride; s++ {
+				i := k*stride + s
+				step := int32(binary.LittleEndian.Uint32(p[4*i:]))
+				if step != Stop && (step < 0 || int(step) >= n) {
+					return nil, fmt.Errorf("walk: corrupt walk step %d at offset %d", step, first+i)
+				}
+				if step == Stop && live == stride {
+					live = s
+				}
+				blk.walks[i] = step
+			}
+			blk.lens[k] = int32(live)
 		}
-		ix.walks = append(ix.walks, step)
+		ix.blocks[b] = blk
 	}
 	if gotCRC != wantCRC {
 		return nil, fmt.Errorf("walk: checksum mismatch (stored %08x, computed %08x): file corrupt",
 			wantCRC, gotCRC)
 	}
-	ix.fillLens()
-	return ix, nil
+	return ix.tally(), nil
 }

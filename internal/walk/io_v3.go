@@ -116,15 +116,15 @@ func appendNodeV3(dst []byte, g *hin.Graph, v hin.NodeID, nv NodeView) []byte {
 	return dst
 }
 
-// decodeNodeV3 decodes node v's walks from p starting at pos into the
-// node's walk slab (nw*stride) and length table (nw), returning the
-// position after the node. Every error is distinct by failure class so
-// the fuzz corpus can pin them: truncated varint, corrupt live length,
-// step code out of range, escaped node id out of range.
-func decodeNodeV3(p []byte, pos int, g *hin.Graph, v hin.NodeID, nw, stride int, walks, lens []int32) (int, error) {
-	n := g.NumNodes()
-	for i := 0; i < nw; i++ {
-		w := walks[i*stride : (i+1)*stride]
+// decodeNodeV3 decodes node v's walks from p starting at pos into nv,
+// returning the position after the node. Every error is distinct by
+// failure class so the fuzz corpus can pin them: truncated varint,
+// corrupt live length, step code out of range, escaped node id out of
+// range.
+func decodeNodeV3(p []byte, pos int, g *hin.Graph, v hin.NodeID, nv NodeView) (int, error) {
+	n, stride := g.NumNodes(), nv.stride
+	for i := range nv.lens {
+		w := nv.Walk(i)
 		l, k := binary.Uvarint(p[pos:])
 		if k <= 0 {
 			return 0, fmt.Errorf("walk: truncated varint stream (walk %d of node %d)", i, v)
@@ -166,9 +166,49 @@ func decodeNodeV3(p []byte, pos int, g *hin.Graph, v hin.NodeID, nw, stride int,
 		for s := int(l); s < stride; s++ {
 			w[s] = Stop
 		}
-		lens[i] = int32(l)
+		nv.lens[i] = int32(l)
 	}
 	return pos, nil
+}
+
+// decodeBlock is the one v3 block decoder, shared by Load and the lazy
+// cache: it decodes block b, laid out by l, from its plen-byte payload
+// under g. plen must pass the plausibility checks before read is called
+// to supply the payload and its stored CRC, so a hostile length word
+// never sizes a buffer or a decoded slab; then the CRC is checked, every
+// node decoded and trailing bytes rejected.
+func (l layout) decodeBlock(g *hin.Graph, b int, plen uint64, read func() ([]byte, uint32, error)) (*block, error) {
+	lo, hi := l.span(b)
+	cnt := hi - lo
+	if plen > maxBlockPayload(cnt, l.nw, l.stride) {
+		return nil, fmt.Errorf("walk: block %d: oversized payload (%d bytes for %d nodes)", b, plen, cnt)
+	}
+	// Every walk costs at least its one-byte length varint, so a payload
+	// shorter than the walk count cannot decode — reject before sizing
+	// the decoded slab by it.
+	if plen < uint64(cnt)*uint64(l.nw) {
+		return nil, fmt.Errorf("walk: block %d: truncated varint stream (%d bytes for %d walks)",
+			b, plen, cnt*l.nw)
+	}
+	payload, want, err := read()
+	if err != nil {
+		return nil, fmt.Errorf("walk: block %d: %w", b, err)
+	}
+	if got := crc32.ChecksumIEEE(payload); got != want {
+		return nil, fmt.Errorf("walk: block %d: checksum mismatch (stored %08x, computed %08x): file corrupt",
+			b, want, got)
+	}
+	blk := newBlock(cnt, l.nw, l.stride)
+	pos := 0
+	for v := lo; v < hi; v++ {
+		if pos, err = decodeNodeV3(payload, pos, g, hin.NodeID(v), l.view(blk, b, v)); err != nil {
+			return nil, fmt.Errorf("walk: block %d: %w", b, err)
+		}
+	}
+	if pos != len(payload) {
+		return nil, fmt.Errorf("walk: block %d: %d trailing bytes after last walk", b, len(payload)-pos)
+	}
+	return blk, nil
 }
 
 // v3Writer emits the v3 container: header up front, blocks as they are
@@ -249,13 +289,8 @@ func (ix *Index) writeToV3(w io.Writer, blockBytes int) (int64, error) {
 	}
 	var payload []byte
 	for b := 0; b < nb; b++ {
-		lo := b * bn
-		hi := lo + bn
-		if hi > ix.n {
-			hi = ix.n
-		}
 		payload = payload[:0]
-		for v := lo; v < hi; v++ {
+		for v := b * bn; v < min((b+1)*bn, ix.n); v++ {
 			payload = appendNodeV3(payload, ix.g, hin.NodeID(v), ix.View(hin.NodeID(v), nil))
 		}
 		if err := vw.writeBlock(payload); err != nil {
@@ -282,74 +317,35 @@ func loadV3(br *bufio.Reader, g *hin.Graph, n, nw, t, edges int) (*Index, error)
 	if bn < 1 || nb != numBlocksFor(n, bn) {
 		return nil, fmt.Errorf("walk: corrupt v3 header: blockNodes=%d numBlocks=%d for %d nodes", bn, nb, n)
 	}
-	stride := t + 1
-	ix := &Index{g: g, n: n, nw: nw, t: t, stride: stride}
-	// Storage grows block by block, and a block's decoded slab is only
-	// allocated after its payload has been read in full and its length
-	// passed the per-walk plausibility check below — so a corrupt header
-	// (dimensions at the caps, or a huge payloadLen word) costs bytes
-	// proportional to the file actually supplied, never a multi-GB
-	// make() driven by claims alone (the v1-header bug class).
-	total := n * nw * stride
-	initial := total
-	if initial > 1<<20 {
-		initial = 1 << 20
-	}
-	ix.walks = make([]int32, 0, initial)
-	ix.lens = make([]int32, 0, initial/stride+1)
-
+	ix := newIndex(g, n, nw, t, bn)
+	// Blocks are decoded one at a time, each only after its payload has
+	// been read in full and its length passed decodeBlock's plausibility
+	// checks — so a corrupt header (dimensions at the caps, or a huge
+	// payloadLen word) costs bytes proportional to the file actually
+	// supplied, never a make() driven by claims alone (the v1-header bug
+	// class). The factor is up to 4*(t+1) decoded bytes per payload
+	// byte: a one-byte live length stands for a whole Stop-padded walk.
 	offsets := make([]uint64, nb+1)
 	off := uint64(v3HeaderBytes)
 	var pbuf bytes.Buffer
-	for b := 0; b < nb; b++ {
+	for b := range ix.blocks {
 		offsets[b] = off
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, fmt.Errorf("walk: block %d: truncated header: %w", b, err)
 		}
 		plen := uint64(binary.LittleEndian.Uint32(buf[0:4]))
-		wantCRC := binary.LittleEndian.Uint32(buf[4:8])
-		lo := b * bn
-		hi := lo + bn
-		if hi > n {
-			hi = n
-		}
-		cnt := hi - lo
-		if plen > maxBlockPayload(cnt, nw, stride) {
-			return nil, fmt.Errorf("walk: block %d: oversized payload (%d bytes for %d nodes)", b, plen, cnt)
-		}
-		// Every walk costs at least its one-byte length varint, so a
-		// payload shorter than the walk count cannot decode — reject
-		// before sizing the decoded slab by it.
-		if plen < uint64(cnt)*uint64(nw) {
-			return nil, fmt.Errorf("walk: block %d: truncated varint stream (%d bytes for %d walks)",
-				b, plen, cnt*nw)
-		}
-		pbuf.Reset()
-		if _, err := io.CopyN(&pbuf, br, int64(plen)); err != nil {
-			return nil, fmt.Errorf("walk: block %d: truncated payload: %w", b, err)
-		}
-		payload := pbuf.Bytes()
-		if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-			return nil, fmt.Errorf("walk: block %d: checksum mismatch (stored %08x, computed %08x): file corrupt",
-				b, wantCRC, got)
-		}
-		blkWalks := make([]int32, cnt*nw*stride)
-		blkLens := make([]int32, cnt*nw)
-		pos := 0
-		for v := lo; v < hi; v++ {
-			base := (v - lo) * nw
-			var err error
-			pos, err = decodeNodeV3(payload, pos, g, hin.NodeID(v), nw, stride,
-				blkWalks[base*stride:(base+nw)*stride], blkLens[base:base+nw])
-			if err != nil {
-				return nil, fmt.Errorf("walk: block %d: %w", b, err)
+		want := binary.LittleEndian.Uint32(buf[4:8])
+		blk, err := ix.decodeBlock(g, b, plen, func() ([]byte, uint32, error) {
+			pbuf.Reset()
+			if _, err := io.CopyN(&pbuf, br, int64(plen)); err != nil {
+				return nil, 0, fmt.Errorf("truncated payload: %w", err)
 			}
+			return pbuf.Bytes(), want, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		if pos != len(payload) {
-			return nil, fmt.Errorf("walk: block %d: %d trailing bytes after last walk", b, len(payload)-pos)
-		}
-		ix.walks = append(ix.walks, blkWalks...)
-		ix.lens = append(ix.lens, blkLens...)
+		ix.blocks[b] = blk
 		off += 8 + plen
 	}
 	offsets[nb] = off
@@ -370,7 +366,7 @@ func loadV3(br *bufio.Reader, g *hin.Graph, n, nw, t, edges int) (*Index, error)
 				i, stored, offsets[i])
 		}
 	}
-	return ix, nil
+	return ix.tally(), nil
 }
 
 // BuildStreaming samples a walk index for g and writes it straight to w
@@ -390,37 +386,21 @@ func BuildStreaming(g *hin.Graph, opts Options, blockBytes int, w io.Writer) (in
 	buildLat := opts.Metrics.Histogram("semsim_walk_build_seconds",
 		"wall time of one walk-sampling pass", nil)
 	t0 := buildLat.Start()
-	n := g.NumNodes()
-	nw, t := opts.NumWalks, opts.Length
-	stride := t + 1
-	bn := blockNodesFor(blockBytes, nw, stride)
-	nb := numBlocksFor(n, bn)
-	vw, err := newV3Writer(w, n, nw, t, g.NumEdges(), bn, nb)
+	n, nw, t := g.NumNodes(), opts.NumWalks, opts.Length
+	l := layout{n: n, nw: nw, t: t, stride: t + 1, bn: blockNodesFor(blockBytes, nw, t+1)}
+	nb := numBlocksFor(n, l.bn)
+	vw, err := newV3Writer(w, n, nw, t, g.NumEdges(), l.bn, nb)
 	if err != nil {
 		return vw.written, err
 	}
-	blockWalks := make([]int32, bn*nw*stride)
-	blockLens := make([]int32, bn*nw)
+	blk := newBlock(l.bn, nw, l.stride)
 	var payload []byte
 	for b := 0; b < nb; b++ {
-		lo := b * bn
-		hi := lo + bn
-		if hi > n {
-			hi = n
-		}
+		lo, hi := l.span(b)
+		l.sampleNodes(g, blk, lo, lo, hi, opts.Seed, 0)
 		payload = payload[:0]
 		for v := lo; v < hi; v++ {
-			base := (v - lo) * nw
-			nv := NodeView{
-				walks:  blockWalks[base*stride : (base+nw)*stride],
-				lens:   blockLens[base : base+nw],
-				stride: stride,
-			}
-			for i := 0; i < nw; i++ {
-				rng := newRNG(opts.Seed, uint64(v)*1e9+uint64(i))
-				nv.lens[i] = sampleInto(g, hin.NodeID(v), nv.Walk(i), t, &rng)
-			}
-			payload = appendNodeV3(payload, g, hin.NodeID(v), nv)
+			payload = appendNodeV3(payload, g, hin.NodeID(v), l.view(blk, b, v))
 		}
 		if err := vw.writeBlock(payload); err != nil {
 			return vw.written, err

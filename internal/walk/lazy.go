@@ -15,30 +15,30 @@ import (
 
 // Lazy (demand-paged) walk index.
 //
-// OpenLazy reads only the v3 header and offset directory, then serves
-// Walk/Meet/View by decoding individual blocks on first touch into a
-// striped LRU cache with a byte budget — so an index file far larger
-// than RAM answers queries, paying one ReadAt + varint decode per cold
-// block and nothing per warm one. The decoded data is bit-identical to
-// a full Load, which the conformance tests assert.
+// OpenLazy reads only the v3 header and offset directory and returns an
+// index whose block table is empty: every block decodes on first touch
+// into a striped LRU cache with a byte budget — so an index file far
+// larger than RAM answers queries, paying one ReadAt + varint decode per
+// cold block and nothing per warm one. The decoded data is bit-identical
+// to a full Load, which the conformance tests assert.
 //
 // Three layers answer a block lookup, cheapest first:
 //
-//	overlay — blocks this epoch materialized in memory (Refresh rewrote
-//	          them, or they cover nodes newer than the file). Immutable,
-//	          shared structurally with descendant epochs.
-//	cache   — decoded file blocks, 64-way striped (same pattern as
-//	          SOCache), approximate-LRU via a global tick counter,
-//	          evicted when decoded bytes exceed the budget.
-//	file    — ReadAt the block's byte range (from the directory), CRC
-//	          check, varint decode under the graph the file was built
-//	          for.
+//	table — blocks this index holds in memory (Refresh rewrote them, or
+//	        they cover nodes newer than the file). Immutable, shared
+//	        with descendant epochs.
+//	cache — decoded file blocks, 64-way striped (same pattern as
+//	        SOCache), approximate-LRU via a global tick counter,
+//	        evicted when decoded bytes exceed the budget.
+//	file  — ReadAt the block's byte range (from the directory), then
+//	        decodeBlock: CRC check and varint decode under the graph
+//	        the file was built for.
 //
 // File blocks always decode under the *open-time* graph, even after
 // Refresh advances the epoch's graph: a block stays file-backed only
 // while every walk in it is untouched, and an untouched walk's bytes
 // decode to the original steps only through the original in-neighbor
-// lists. Touched blocks move to the overlay as plain int32 slabs, so
+// lists. Touched blocks move into the table as plain int32 slabs, so
 // they need no graph at all.
 
 // DefaultCacheBytes is the decoded-block budget when LazyOptions leaves
@@ -59,17 +59,6 @@ type LazyOptions struct {
 	// semsim_walk_cache_{hits,misses,evictions}_total counters and the
 	// semsim_walk_cache_resident_bytes gauge. Nil disables (no cost).
 	Metrics *obs.Registry
-}
-
-// block is one decoded block: cnt nodes' walks and live lengths,
-// walk-major within node. Immutable once published.
-type block struct {
-	walks []int32
-	lens  []int32
-}
-
-func (b *block) bytes() int64 {
-	return int64(len(b.walks))*4 + int64(len(b.lens))*4
 }
 
 const cacheShards = 64
@@ -188,21 +177,22 @@ func (c *blockCache) evictTo(budget int64, keep int) {
 	}
 }
 
-// lazyFile is the open v3 file plus everything needed to decode any
-// block of it. It is shared (refcounted) across the epochs a Refresh
-// chain creates, so they all hit one cache and one file handle.
+// lazyFile is the open v3 file behind a lazy index's nil blocks, plus
+// everything needed to decode any of them. Every index of a Refresh
+// chain shares it, so they all hit one cache and one file handle.
 type lazyFile struct {
 	src    io.ReaderAt
 	closer io.Closer // nil when the caller owns the handle
-	g      *hin.Graph
-	n0     int // node count at open; file blocks never cover more
-	nw     int
-	stride int
-	bn     int // blockNodes
-	offs   []uint64
-	cache  *blockCache
+	closed atomic.Bool
+	// g and layout are the open-time graph and geometry: a block stays
+	// file-backed only while every walk in it is untouched, and an
+	// untouched walk's bytes decode to the original steps only through
+	// the original in-neighbor lists.
+	g *hin.Graph
+	layout
+	offs  []uint64
+	cache *blockCache
 
-	refs       atomic.Int64
 	decodeErrs atomic.Int64
 	lastErr    atomic.Value // error
 	// decodeErrCtr mirrors decodeErrs into the metrics registry
@@ -212,149 +202,62 @@ type lazyFile struct {
 	decodeErrCtr *obs.Counter
 }
 
-// readBlock fetches and decodes file block b (cold path).
-func (f *lazyFile) readBlock(b int) (*block, error) {
+// fetch returns file block b through the cache, decoding it on a miss
+// (cold path), and charges the outcome to co; a nil co disables the
+// accounting.
+func (f *lazyFile) fetch(b int, co *obs.Cost) (*block, error) {
+	if blk := f.cache.get(b); blk != nil {
+		if co != nil {
+			co.BlockHits++
+		}
+		return blk, nil
+	}
+	f.cache.misses.Inc()
 	off, end := f.offs[b], f.offs[b+1]
-	if end < off+8 {
-		return nil, fmt.Errorf("walk: block %d: corrupt directory extent [%d,%d)", b, off, end)
-	}
-	lo := b * f.bn
-	hi := lo + f.bn
-	if hi > f.n0 {
-		hi = f.n0
-	}
-	cnt := hi - lo
 	plen := end - off - 8
-	if plen > maxBlockPayload(cnt, f.nw, f.stride) {
-		return nil, fmt.Errorf("walk: block %d: oversized payload (%d bytes for %d nodes)", b, plen, cnt)
-	}
-	if plen < uint64(cnt)*uint64(f.nw) {
-		return nil, fmt.Errorf("walk: block %d: truncated varint stream (%d bytes for %d walks)",
-			b, plen, cnt*f.nw)
-	}
-	buf := make([]byte, end-off)
-	if _, err := f.src.ReadAt(buf, int64(off)); err != nil {
-		return nil, fmt.Errorf("walk: block %d: read: %w", b, err)
-	}
-	if got := uint64(binary.LittleEndian.Uint32(buf[0:4])); got != plen {
-		return nil, fmt.Errorf("walk: block %d: stored payload length %d disagrees with directory (%d)", b, got, plen)
-	}
-	payload := buf[8:]
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(buf[4:8]); got != want {
-		return nil, fmt.Errorf("walk: block %d: checksum mismatch (stored %08x, computed %08x): file corrupt",
-			b, want, got)
-	}
-	blk := &block{
-		walks: make([]int32, cnt*f.nw*f.stride),
-		lens:  make([]int32, cnt*f.nw),
-	}
-	pos := 0
-	for v := lo; v < hi; v++ {
-		base := (v - lo) * f.nw
-		var err error
-		pos, err = decodeNodeV3(payload, pos, f.g, hin.NodeID(v), f.nw, f.stride,
-			blk.walks[base*f.stride:(base+f.nw)*f.stride], blk.lens[base:base+f.nw])
-		if err != nil {
-			return nil, fmt.Errorf("walk: block %d: %w", b, err)
+	blk, err := f.decodeBlock(f.g, b, plen, func() ([]byte, uint32, error) {
+		buf := make([]byte, end-off)
+		if _, err := f.src.ReadAt(buf, int64(off)); err != nil {
+			return nil, 0, fmt.Errorf("read: %w", err)
 		}
+		if got := uint64(binary.LittleEndian.Uint32(buf[0:4])); got != plen {
+			return nil, 0, fmt.Errorf("stored payload length %d disagrees with directory (%d)", got, plen)
+		}
+		return buf[8:], binary.LittleEndian.Uint32(buf[4:8]), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if pos != len(payload) {
-		return nil, fmt.Errorf("walk: block %d: %d trailing bytes after last walk", b, len(payload)-pos)
+	if co != nil {
+		co.BlockMisses++
+		co.BytesDecoded += blk.bytes()
 	}
-	return blk, nil
+	return f.cache.insert(b, blk), nil
 }
 
+// fail counts a decode failure on the query path and keeps its cause.
+func (f *lazyFile) fail(err error) {
+	f.decodeErrs.Add(1)
+	f.decodeErrCtr.Inc()
+	f.lastErr.Store(err)
+}
+
+// memoryBytes is the cache's resident bytes plus the directory; 0 for
+// a resident index (nil f).
+func (f *lazyFile) memoryBytes() int64 {
+	if f == nil {
+		return 0
+	}
+	return f.cache.resident.Load() + int64(len(f.offs))*8
+}
+
+// close closes the handle the first time it is called; later calls,
+// and calls on a nil f, are no-ops.
 func (f *lazyFile) close() error {
-	if f.refs.Add(-1) != 0 {
+	if f == nil || f.closer == nil || f.closed.Swap(true) {
 		return nil
 	}
-	if f.closer != nil {
-		return f.closer.Close()
-	}
-	return nil
-}
-
-// lazyStore is one epoch's view over a lazyFile: the epoch's node count
-// (which may exceed the file's after growth) plus the overlay of blocks
-// this epoch chain rewrote.
-type lazyStore struct {
-	f       *lazyFile
-	n       int
-	nw      int
-	stride  int
-	bn      int
-	overlay map[int]*block // immutable after construction
-	// overlayBytes is the decoded size of the overlay, precomputed so
-	// MemoryBytes stays O(1).
-	overlayBytes int64
-	closed       atomic.Bool
-}
-
-// view returns node v's walks, decoding v's block if it is cold, and
-// charges the block-cache outcome to co (nil co disables the
-// accounting). Overlay blocks are plain resident memory — neither the
-// cache counters nor the per-query cost count them. A decode failure
-// (I/O error or corruption discovered mid-serve) cannot surface an
-// error on the query path, so it degrades to a stopped-at-origin view —
-// walks of length 1 never meet anything, so the node scores zero
-// against all others — while the error is counted and kept for
-// DecodeErrors/LastDecodeErr.
-func (ls *lazyStore) view(v hin.NodeID, co *obs.Cost) NodeView {
-	b := int(v) / ls.bn
-	blk := ls.overlay[b]
-	if blk == nil {
-		if blk = ls.f.cache.get(b); blk != nil {
-			if co != nil {
-				co.BlockHits++
-			}
-		} else {
-			ls.f.cache.misses.Inc()
-			fresh, err := ls.f.readBlock(b)
-			if err != nil {
-				ls.f.decodeErrs.Add(1)
-				ls.f.decodeErrCtr.Inc()
-				ls.f.lastErr.Store(err)
-				return stoppedView(v, ls.nw, ls.stride)
-			}
-			if co != nil {
-				co.BlockMisses++
-				co.BytesDecoded += fresh.bytes()
-			}
-			blk = ls.f.cache.insert(b, fresh)
-		}
-	}
-	base := (int(v) - b*ls.bn) * ls.nw
-	return NodeView{
-		walks:  blk.walks[base*ls.stride : (base+ls.nw)*ls.stride],
-		lens:   blk.lens[base : base+ls.nw],
-		stride: ls.stride,
-	}
-}
-
-// stoppedView is the degraded answer for an unreadable block: every
-// walk is [v, Stop, Stop, ...] with live length 1.
-func stoppedView(v hin.NodeID, nw, stride int) NodeView {
-	walks := make([]int32, nw*stride)
-	lens := make([]int32, nw)
-	for i := range walks {
-		walks[i] = Stop
-	}
-	for i := 0; i < nw; i++ {
-		walks[i*stride] = int32(v)
-		lens[i] = 1
-	}
-	return NodeView{walks: walks, lens: lens, stride: stride}
-}
-
-func (ls *lazyStore) memoryBytes() int64 {
-	return ls.f.cache.resident.Load() + ls.overlayBytes + int64(len(ls.f.offs))*8
-}
-
-func (ls *lazyStore) close() error {
-	if ls.closed.Swap(true) {
-		return nil
-	}
-	return ls.f.close()
+	return f.closer.Close()
 }
 
 // DecodeErrors reports how many lazy block decodes have failed since
@@ -362,18 +265,18 @@ func (ls *lazyStore) close() error {
 // were answered with degraded (stopped) walks; LastDecodeErr has the
 // most recent cause.
 func (ix *Index) DecodeErrors() int64 {
-	if ix.lazy == nil {
+	if ix.file == nil {
 		return 0
 	}
-	return ix.lazy.f.decodeErrs.Load()
+	return ix.file.decodeErrs.Load()
 }
 
 // LastDecodeErr returns the most recent lazy decode failure, or nil.
 func (ix *Index) LastDecodeErr() error {
-	if ix.lazy == nil {
+	if ix.file == nil {
 		return nil
 	}
-	if err, ok := ix.lazy.f.lastErr.Load().(error); ok {
+	if err, ok := ix.file.lastErr.Load().(error); ok {
 		return err
 	}
 	return nil
@@ -384,19 +287,19 @@ func (ix *Index) LastDecodeErr() error {
 // budget holds; operators get the same number as the
 // semsim_walk_cache_resident_bytes gauge.
 func (ix *Index) CacheResidentBytes() int64 {
-	if ix.lazy == nil {
+	if ix.file == nil {
 		return 0
 	}
-	return ix.lazy.f.cache.resident.Load()
+	return ix.file.cache.resident.Load()
 }
 
 // OpenLazy opens a v3 walk file for demand-paged serving: only the
 // header and block directory are read up front (O(numBlocks) memory);
 // walks decode per block on first touch into a budgeted cache. src must
-// stay valid for the life of the index (and of every index Refresh
-// derives from it); if src is also an io.Closer, the final Close of the
-// epoch chain closes it. size is the total file length, used to locate
-// the directory at the tail.
+// stay valid for the life of the index and of every index Refresh
+// derives from it; if src is also an io.Closer, the first Close on any
+// index of that chain closes it. size is the total file length, used to
+// locate the directory at the tail.
 //
 // Only format v3 supports lazy opening — v1/v2 files have no block
 // structure; convert them first (`semsim convert`).
@@ -449,30 +352,24 @@ func OpenLazy(src io.ReaderAt, size int64, g *hin.Graph, opts LazyOptions) (*Ind
 			return nil, fmt.Errorf("walk: corrupt block directory (entry %d: extent [%d,%d))", i, offs[i], offs[i+1])
 		}
 	}
-	f := &lazyFile{
+	ix := newIndex(g, n, nw, t, bn)
+	ix.file = &lazyFile{
 		src:    src,
 		g:      g,
-		n0:     n,
-		nw:     nw,
-		stride: t + 1,
-		bn:     bn,
+		layout: ix.layout,
 		offs:   offs,
 		cache:  newBlockCache(opts.CacheBytes, opts.Metrics),
 		decodeErrCtr: opts.Metrics.Counter("semsim_walk_decode_errors_total",
 			"lazy walk-block decodes that failed (queries served degraded stopped walks)"),
 	}
 	if c, ok := src.(io.Closer); ok {
-		f.closer = c
+		ix.file.closer = c
 	}
-	f.refs.Store(1)
-	return &Index{
-		g: g, n: n, nw: nw, t: t, stride: t + 1,
-		lazy: &lazyStore{f: f, n: n, nw: nw, stride: t + 1, bn: bn, overlay: map[int]*block{}},
-	}, nil
+	return ix, nil
 }
 
 // OpenLazyFile is OpenLazy over a file path; the returned index owns
-// the handle and releases it on the epoch chain's final Close.
+// the handle, and Close on any index of its Refresh chain releases it.
 func OpenLazyFile(path string, g *hin.Graph, opts LazyOptions) (*Index, error) {
 	fh, err := os.Open(path)
 	if err != nil {
@@ -489,140 +386,4 @@ func OpenLazyFile(path string, g *hin.Graph, opts LazyOptions) (*Index, error) {
 		return nil, err
 	}
 	return ix, nil
-}
-
-// refreshLazy is Refresh for a lazy index: instead of copying the whole
-// slab it decodes each block once, and only blocks containing a cut (or
-// new nodes) are materialized into the successor's overlay — untouched
-// blocks keep being served from the file through the shared cache. The
-// resample streams are identical to the resident path, so both
-// residency modes refresh to bit-identical indexes.
-func (ix *Index) refreshLazy(newG *hin.Graph, changed []hin.NodeID, seed int64) (*Index, *RefreshStats, error) {
-	ls := ix.lazy
-	n2 := newG.NumNodes()
-	if n2 < ix.n {
-		return nil, nil, fmt.Errorf("walk: refresh cannot remove nodes (%d -> %d); rebuild", ix.n, n2)
-	}
-	isChanged := make([]bool, ix.n)
-	for _, v := range changed {
-		if int(v) < 0 || int(v) >= n2 {
-			return nil, nil, fmt.Errorf("walk: changed node %d out of range", v)
-		}
-		if int(v) < ix.n {
-			isChanged[v] = true
-		}
-	}
-
-	st := &RefreshStats{Touched: make([]bool, n2)}
-	overlay := make(map[int]*block, len(ls.overlay))
-	for k, v := range ls.overlay {
-		overlay[k] = v
-	}
-	nw, stride, t, bn := ix.nw, ix.stride, ix.t, ls.bn
-	nbNew := numBlocksFor(n2, bn)
-	for b := 0; b < nbNew; b++ {
-		lo := b * bn
-		hi := lo + bn
-		if hi > n2 {
-			hi = n2
-		}
-		// Nodes of this block that existed in the old epoch: [lo, oldHi).
-		// A block wholly past the old node count has none.
-		oldHi := hi
-		if oldHi > ix.n {
-			oldHi = ix.n
-		}
-		if oldHi < lo {
-			oldHi = lo
-		}
-		var src *block
-		if lo < ix.n {
-			// Decode through the normal chain; a decode failure here is a
-			// hard error (refusing the commit beats silently publishing an
-			// epoch built on degraded walks).
-			if src = overlay[b]; src == nil {
-				if src = ls.f.cache.get(b); src == nil {
-					var err error
-					if src, err = ls.f.readBlock(b); err != nil {
-						return nil, nil, err
-					}
-					src = ls.f.cache.insert(b, src)
-				}
-			}
-		}
-		// Find the cut position of every pre-existing walk in the block.
-		cuts := []int(nil)
-		for v := lo; v < oldHi; v++ {
-			base := (v - lo) * nw
-			for i := 0; i < nw; i++ {
-				w := src.walks[(base+i)*stride : (base+i+1)*stride]
-				for s := 0; s < int(src.lens[base+i]); s++ {
-					if isChanged[w[s]] {
-						cuts = append(cuts, (v-lo)*nw+i, s)
-						break
-					}
-				}
-			}
-		}
-		if len(cuts) == 0 && hi == oldHi {
-			continue // block untouched and gains no nodes: stays file/overlay-backed as-is
-		}
-		cnt := hi - lo
-		nb := &block{
-			walks: make([]int32, cnt*nw*stride),
-			lens:  make([]int32, cnt*nw),
-		}
-		if src != nil {
-			copy(nb.walks, src.walks)
-			copy(nb.lens, src.lens)
-		}
-		for c := 0; c < len(cuts); c += 2 {
-			si, cut := cuts[c], cuts[c+1]
-			v := lo + si/nw
-			i := si % nw
-			st.Resampled++
-			st.Touched[v] = true
-			w := nb.walks[si*stride : (si+1)*stride]
-			rng := newRNG(seed, uint64(v)*1e9+uint64(i)+0x9e37)
-			cur := hin.NodeID(w[cut])
-			newLen := int32(stride)
-			for s := cut + 1; s <= t; s++ {
-				in := newG.InNeighbors(cur)
-				if len(in) == 0 {
-					newLen = int32(s)
-					for ; s <= t; s++ {
-						w[s] = Stop
-					}
-					break
-				}
-				cur = in[rng.intn(len(in))]
-				w[s] = int32(cur)
-			}
-			nb.lens[si] = newLen
-		}
-		for v := oldHi; v < hi; v++ {
-			st.Touched[v] = true
-			st.NewNodes++
-			base := (v - lo) * nw
-			for i := 0; i < nw; i++ {
-				rng := newRNG(seed, uint64(v)*1e9+uint64(i)+0x9e37)
-				nb.lens[base+i] = sampleInto(newG, hin.NodeID(v),
-					nb.walks[(base+i)*stride:(base+i+1)*stride], t, &rng)
-			}
-		}
-		overlay[b] = nb
-	}
-
-	var overlayBytes int64
-	for _, blk := range overlay {
-		overlayBytes += blk.bytes()
-	}
-	ls.f.refs.Add(1)
-	return &Index{
-		g: newG, n: n2, nw: nw, t: t, stride: stride,
-		lazy: &lazyStore{
-			f: ls.f, n: n2, nw: nw, stride: stride, bn: bn,
-			overlay: overlay, overlayBytes: overlayBytes,
-		},
-	}, st, nil
 }

@@ -235,10 +235,12 @@ func TestLazyRefreshConformance(t *testing.T) {
 	assertSameIndex(t, wantIx2, gotIx2)
 
 	// The pre-refresh epochs still serve their original walks (epoch
-	// isolation), and closing the whole chain releases the shared file
-	// exactly once.
+	// isolation) in both residencies — resident epochs share their
+	// untouched blocks with their successors — and closing the whole
+	// chain releases the shared file exactly once.
 	res0, _ := Build(old, opts)
 	assertSameIndex(t, res0, lazy)
+	assertSameIndex(t, res0, resident)
 	if err := gotIx2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +275,7 @@ func TestLazyDecodeErrorDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenLazy: %v", err)
 	}
-	bn := lazy.lazy.bn
+	bn := lazy.bn
 	good := hin.NodeID(0) // block 0
 	bad := hin.NodeID(bn) // first node of block 1
 	if !bytes.Equal(int32Bytes(lazy.Walk(good, 0)), int32Bytes(resident.Walk(good, 0))) {

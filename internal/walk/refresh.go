@@ -23,6 +23,10 @@ type RefreshStats struct {
 	Touched []bool
 }
 
+// refreshSalt offsets the RNG streams Refresh draws from, so a resample
+// never replays the stream that drew the walk it replaces.
+const refreshSalt = 0x9e37
+
 // Refresh adapts the index to an updated graph by resampling only the
 // invalidated walk suffixes — the dynamic-network maintenance the paper's
 // Section 7 leaves as future work (in the spirit of READS: random-walk
@@ -37,15 +41,15 @@ type RefreshStats struct {
 // is distributed identically to a fresh Build over the new graph.
 //
 // The node set may grow (new nodes get fresh walks); shrinking requires
-// a full rebuild. The receiver is never mutated: storage is copied and
-// then patched per-node — untouched blocks (walks and live lengths) are
-// byte-identical to the old index, and only touched blocks are
-// recomputed, so the old index keeps serving an older snapshot while
-// the refreshed one is assembled.
+// a full rebuild. The receiver is never mutated, so it keeps serving an
+// older snapshot while the refreshed one is assembled: a block with a
+// cut or a new node is copied before it is patched, and every other
+// block is shared with the receiver — a block the receiver reads from
+// its file stays file-backed. Finding the cuts decodes every
+// file-backed block; a decode failure there is an error, since
+// publishing an epoch built on degraded walks would be worse than
+// refusing the commit.
 func (ix *Index) Refresh(newG *hin.Graph, changed []hin.NodeID, seed int64) (*Index, *RefreshStats, error) {
-	if ix.lazy != nil {
-		return ix.refreshLazy(newG, changed, seed)
-	}
 	n2 := newG.NumNodes()
 	if n2 < ix.n {
 		return nil, nil, fmt.Errorf("walk: refresh cannot remove nodes (%d -> %d); rebuild",
@@ -63,32 +67,44 @@ func (ix *Index) Refresh(newG *hin.Graph, changed []hin.NodeID, seed int64) (*In
 		}
 	}
 
-	out := &Index{
-		g:      newG,
-		n:      n2,
-		nw:     ix.nw,
-		t:      ix.t,
-		stride: ix.stride,
-		walks:  make([]int32, n2*ix.nw*ix.stride),
-		lens:   make([]int32, n2*ix.nw),
-	}
-	// Both tables are node-major, so the old index is one contiguous
-	// prefix of the new storage.
-	copy(out.walks, ix.walks)
-	copy(out.lens, ix.lens)
-
+	out := newIndex(newG, n2, ix.nw, ix.t, ix.bn)
+	out.file = ix.file
+	copy(out.blocks, ix.blocks)
 	st := &RefreshStats{Touched: make([]bool, n2)}
-	for v := 0; v < ix.n; v++ {
-		for i := 0; i < ix.nw; i++ {
-			si := v*ix.nw + i
-			w := out.walks[si*ix.stride : (si+1)*ix.stride]
+	nw, stride := ix.nw, ix.stride
+	for b := range out.blocks {
+		lo, hi := out.span(b)
+		// Nodes of this block that existed in the old epoch: [lo, oldHi).
+		oldHi := max(lo, min(hi, ix.n))
+		var src, dst *block
+		if lo < ix.n {
+			var err error
+			if src = ix.blocks[b]; src == nil {
+				if src, err = ix.file.fetch(b, nil); err != nil {
+					return nil, nil, err
+				}
+			}
+		}
+		// patch returns the copy of src this pass writes to, sized for
+		// the block's new node count.
+		patch := func() *block {
+			if dst == nil {
+				dst = newBlock(hi-lo, nw, stride)
+				if src != nil {
+					copy(dst.walks, src.walks)
+					copy(dst.lens, src.lens)
+				}
+			}
+			return dst
+		}
+		for k := 0; k < (oldHi-lo)*nw; k++ {
 			// First position whose outgoing step is invalidated. The scan
-			// is bounded by the live length, which also covers the case of
-			// a walk that stopped early at a changed node and can now
+			// is bounded by the live length, which also covers the case
+			// of a walk that stopped early at a changed node and can now
 			// continue (its last live node is position lens-1).
 			cut := -1
-			for s := 0; s < int(ix.lens[si]); s++ {
-				if isChanged[w[s]] {
+			for s, x := range src.walks[k*stride : k*stride+int(src.lens[k])] {
+				if isChanged[x] {
 					cut = s
 					break
 				}
@@ -96,35 +112,25 @@ func (ix *Index) Refresh(newG *hin.Graph, changed []hin.NodeID, seed int64) (*In
 			if cut < 0 {
 				continue
 			}
+			v := lo + k/nw
 			st.Resampled++
 			st.Touched[v] = true
-			rng := newRNG(seed, uint64(v)*1e9+uint64(i)+0x9e37)
-			cur := hin.NodeID(w[cut])
-			newLen := int32(ix.stride)
-			for s := cut + 1; s <= ix.t; s++ {
-				in := newG.InNeighbors(cur)
-				if len(in) == 0 {
-					newLen = int32(s)
-					for ; s <= ix.t; s++ {
-						w[s] = Stop
-					}
-					break
-				}
-				cur = in[rng.intn(len(in))]
-				w[s] = int32(cur)
+			w := patch().walks[k*stride : (k+1)*stride]
+			rng := newRNG(seed, uint64(v)*1e9+uint64(k%nw)+refreshSalt)
+			dst.lens[k] = sampleFrom(newG, w, cut, &rng)
+		}
+		// New nodes get fresh walks on their own RNG streams, exactly as
+		// a fresh Build would.
+		if oldHi < hi {
+			for v := oldHi; v < hi; v++ {
+				st.Touched[v] = true
 			}
-			out.lens[si] = newLen
+			st.NewNodes += hi - oldHi
+			out.sampleNodes(newG, patch(), lo, oldHi, hi, seed, refreshSalt)
+		}
+		if dst != nil {
+			out.blocks[b] = dst
 		}
 	}
-	// New nodes get fresh walks on their own RNG streams, exactly as a
-	// fresh Build would (sampleWalk maintains lens as it goes).
-	for v := ix.n; v < n2; v++ {
-		st.Touched[v] = true
-		st.NewNodes++
-		for i := 0; i < ix.nw; i++ {
-			rng := newRNG(seed, uint64(v)*1e9+uint64(i)+0x9e37)
-			out.sampleWalk(hin.NodeID(v), i, &rng)
-		}
-	}
-	return out, st, nil
+	return out.tally(), st, nil
 }

@@ -339,3 +339,50 @@ func TestChangedInNeighborhoods(t *testing.T) {
 		t.Error("want error for different node counts")
 	}
 }
+
+// TestRefreshSharesUntouchedBlocks pins Refresh's copy-on-write rule: a
+// block with no resampled walk is the receiver's block itself, a
+// touched one is a copy, and the receiver reads exactly what it read
+// before.
+func TestRefreshSharesUntouchedBlocks(t *testing.T) {
+	// n_w*(t+1)*4 = 16 KiB per node: 4-node blocks, 8 of them.
+	opts := Options{NumWalks: 512, Length: 7, Seed: 3}
+	old, newG := addChord(t, 32, 3, 9)
+	ix, err := Build(old, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := Build(old, opts)
+	changed, err := hin.ChangedInNeighborhoodsGrown(old, newG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, st, err := ix.Refresh(newG, changed, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.blocks) != 8 {
+		t.Fatalf("%d blocks, want 8", len(ref.blocks))
+	}
+	shared := 0
+	for b, blk := range ref.blocks {
+		lo, hi := ref.span(b)
+		touched := false
+		for v := lo; v < hi; v++ {
+			touched = touched || st.Touched[v]
+		}
+		if touched == (blk == ix.blocks[b]) {
+			t.Fatalf("block %d: touched=%v but shared=%v", b, touched, blk == ix.blocks[b])
+		}
+		if blk == ix.blocks[b] {
+			shared++
+		}
+	}
+	if shared == 0 || shared == len(ref.blocks) {
+		t.Fatalf("%d of %d blocks shared; the chord should touch some but not all", shared, len(ref.blocks))
+	}
+	if ix.MemoryBytes() != before.MemoryBytes() || ref.MemoryBytes() != before.MemoryBytes() {
+		t.Fatalf("MemoryBytes %d -> %d, want %d for both", ix.MemoryBytes(), ref.MemoryBytes(), before.MemoryBytes())
+	}
+	assertSameIndex(t, before, ix)
+}

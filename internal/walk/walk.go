@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"semsim/internal/hin"
 	"semsim/internal/obs"
@@ -22,28 +23,93 @@ import (
 // in-neighbors before step t).
 const Stop int32 = -1
 
-// Index is an immutable walk index. Once Build (or Load) returns, the
-// index is never mutated: Walk, Meet, Graph and the size accessors are
-// pure reads, so an Index may be shared freely across goroutines. Refresh
-// does not mutate the receiver either — it returns a new Index. The only
-// write APIs are the constructors themselves.
+// Index is an immutable walk index: a table of decoded blocks, each
+// holding the walks of bn consecutive source nodes — the unit a v3 file
+// stores. A resident index (Build, Load) holds every block in memory. A
+// lazy index (OpenLazy) holds only the blocks its Refresh chain rewrote
+// or added; every other entry is nil and decodes from the v3 file on
+// demand, through a block cache with a byte budget shared by the chain.
+// All read APIs behave identically either way.
+//
+// Once a constructor returns, the index is never mutated: Walk, Meet,
+// View and the size accessors are pure reads, so an Index may be shared
+// freely across goroutines. Refresh does not mutate the receiver either —
+// it returns a new Index that shares every block it did not touch.
 type Index struct {
-	g      *hin.Graph
-	n      int
-	nw     int // walks per node
-	t      int // steps per walk (truncation point)
-	stride int // t+1 positions per walk, position 0 is the start node
-	walks  []int32
-	// lens[v*nw+i] is the number of live (non-Stop) positions of walk
-	// (v, i), in [1, stride]. It lets Meet bound its scan up front and
-	// drop the two per-step Stop comparisons from the hottest loop in
-	// the repository (every Monte-Carlo query runs n_w Meet scans).
-	lens []int32
-	// lazy, when non-nil, replaces the resident slabs: walks/lens are
-	// nil and every accessor decodes v3 blocks on demand through the
-	// shared block cache (see lazy.go). All read APIs behave
-	// identically in both modes.
-	lazy *lazyStore
+	g *hin.Graph
+	layout
+	// blocks[b] holds nodes span(b); nil means "read from file".
+	blocks []*block
+	// memBytes is the decoded size of the non-nil blocks, precomputed so
+	// MemoryBytes stays O(1).
+	memBytes int64
+	// file backs the nil blocks; nil for a resident index.
+	file *lazyFile
+}
+
+// layout is how walks are cut into blocks: n source nodes with nw walks
+// of stride = t+1 positions each (position 0 is the start node), bn
+// nodes per block.
+type layout struct {
+	n, nw, t, stride, bn int
+}
+
+// span returns block b's node range [lo, hi).
+func (l layout) span(b int) (lo, hi int) {
+	lo = b * l.bn
+	return lo, min(lo+l.bn, l.n)
+}
+
+// view returns node v's walks inside block b, which must hold it.
+func (l layout) view(blk *block, b, v int) NodeView {
+	base := (v - b*l.bn) * l.nw
+	return NodeView{
+		walks:  blk.walks[base*l.stride : (base+l.nw)*l.stride],
+		lens:   blk.lens[base : base+l.nw],
+		stride: l.stride,
+	}
+}
+
+// block is one decoded block: its nodes' walks, walk-major within node,
+// and their live lengths. lens[k] is the number of live (non-Stop)
+// positions of walk k, in [1, stride]; it lets Meet bound its scan up
+// front and drop the two per-step Stop comparisons from the hottest loop
+// in the repository (every Monte-Carlo query runs n_w Meet scans).
+// Immutable once published.
+type block struct {
+	walks []int32
+	lens  []int32
+}
+
+// newBlock allocates a block for cnt nodes as one slab.
+func newBlock(cnt, nw, stride int) *block {
+	buf := make([]int32, cnt*nw*(stride+1))
+	return &block{walks: buf[:cnt*nw*stride], lens: buf[cnt*nw*stride:]}
+}
+
+func (b *block) bytes() int64 {
+	return int64(len(b.walks))*4 + int64(len(b.lens))*4
+}
+
+// newIndex returns an index over g with an empty table of bn-node blocks
+// for its constructor to fill.
+func newIndex(g *hin.Graph, n, nw, t, bn int) *Index {
+	return &Index{
+		g:      g,
+		layout: layout{n: n, nw: nw, t: t, stride: t + 1, bn: bn},
+		blocks: make([]*block, numBlocksFor(n, bn)),
+	}
+}
+
+// tally records the decoded size of the table's blocks once it is full.
+func (ix *Index) tally() *Index {
+	ix.memBytes = 0
+	for _, blk := range ix.blocks {
+		if blk != nil {
+			ix.memBytes += blk.bytes()
+		}
+	}
+	return ix
 }
 
 // Options configure Build.
@@ -58,8 +124,8 @@ type Options struct {
 	// preserved because every (node, walk) pair has its own RNG stream.
 	Parallel bool
 	// Metrics, when non-nil, records the sampling phase into the
-	// registry: semsim_walk_build_seconds, semsim_walks_sampled_total
-	// and the semsim_walk_index_bytes gauge. Nil disables (no cost).
+	// registry: semsim_walk_build_seconds and semsim_walks_sampled_total.
+	// Nil disables (no cost).
 	Metrics *obs.Registry
 }
 
@@ -83,7 +149,7 @@ func (o *Options) fill() error {
 	return nil
 }
 
-// Build samples the index for g.
+// Build samples the index for g, in blocks of DefaultBlockBytes.
 func Build(g *hin.Graph, opts Options) (*Index, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -91,122 +157,82 @@ func Build(g *hin.Graph, opts Options) (*Index, error) {
 	buildLat := opts.Metrics.Histogram("semsim_walk_build_seconds",
 		"wall time of one walk-sampling pass", nil)
 	t0 := buildLat.Start()
-	n := g.NumNodes()
-	ix := &Index{
-		g:      g,
-		n:      n,
-		nw:     opts.NumWalks,
-		t:      opts.Length,
-		stride: opts.Length + 1,
-	}
-	ix.walks = make([]int32, n*ix.nw*ix.stride)
-	ix.lens = make([]int32, n*ix.nw)
+	n, nw, t := g.NumNodes(), opts.NumWalks, opts.Length
+	ix := newIndex(g, n, nw, t, blockNodesFor(DefaultBlockBytes, nw, t+1))
 
-	sample := func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			for i := 0; i < ix.nw; i++ {
-				rng := newRNG(opts.Seed, uint64(v)*1e9+uint64(i))
-				ix.sampleWalk(hin.NodeID(v), i, &rng)
-			}
+	// Workers claim blocks from a shared counter; every (node, walk) pair
+	// has its own RNG stream, so the result is independent of who
+	// sampled which block.
+	var next atomic.Int64
+	sample := func() {
+		for b := int(next.Add(1) - 1); b < len(ix.blocks); b = int(next.Add(1) - 1) {
+			lo, hi := ix.span(b)
+			blk := newBlock(hi-lo, nw, ix.stride)
+			ix.sampleNodes(g, blk, lo, lo, hi, opts.Seed, 0)
+			ix.blocks[b] = blk
 		}
 	}
-
-	if opts.Parallel && n > 1 {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > n {
-			workers = n
-		}
-		var wg sync.WaitGroup
-		chunk := (n + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				sample(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		sample(0, n)
+	var wg sync.WaitGroup
+	for w := 1; opts.Parallel && w < min(runtime.GOMAXPROCS(0), len(ix.blocks)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sample()
+		}()
 	}
+	sample()
+	wg.Wait()
 	buildLat.ObserveSince(t0)
 	opts.Metrics.Counter("semsim_walks_sampled_total",
-		"random walks drawn across all index builds").Add(int64(n) * int64(ix.nw))
-	opts.Metrics.Gauge("semsim_walk_index_bytes",
-		"storage of the most recently built walk index").Set(ix.MemoryBytes())
-	return ix, nil
+		"random walks drawn across all index builds").Add(int64(n) * int64(nw))
+	return ix.tally(), nil
 }
 
-// sampleWalk draws one uniform reversed walk from v into slot i.
-func (ix *Index) sampleWalk(v hin.NodeID, i int, rng *rng) {
-	si := int(v)*ix.nw + i
-	w := ix.walks[si*ix.stride : (si+1)*ix.stride]
-	ix.lens[si] = sampleInto(ix.g, v, w, ix.t, rng)
+// sampleNodes is the per-block sampler: it draws the walks of nodes
+// [from, hi) into blk, whose first node is lo. Walk (v, i) uses RNG
+// stream v*1e9 + i + salt — salt 0 for Build and BuildStreaming, which
+// must draw identical walks, refreshSalt for the nodes Refresh adds.
+func (l layout) sampleNodes(g *hin.Graph, blk *block, lo, from, hi int, seed int64, salt uint64) {
+	for v := from; v < hi; v++ {
+		for i := 0; i < l.nw; i++ {
+			k := (v-lo)*l.nw + i
+			w := blk.walks[k*l.stride : (k+1)*l.stride]
+			w[0] = int32(v)
+			rng := newRNG(seed, uint64(v)*1e9+uint64(i)+salt)
+			blk.lens[k] = sampleFrom(g, w, 0, &rng)
+		}
+	}
 }
 
-// sampleInto draws one uniform reversed walk from v into w (which must
-// have length t+1), filling the tail with Stop, and returns the live
-// length. It is the sampling core shared by Build, Refresh and
-// BuildStreaming — all three must draw identical walks for identical
-// RNG streams, so there is exactly one copy of this loop.
-func sampleInto(g *hin.Graph, v hin.NodeID, w []int32, t int, rng *rng) int32 {
-	w[0] = int32(v)
-	cur := v
-	for s := 1; s <= t; s++ {
+// sampleFrom continues walk w (of length t+1) from position from, whose
+// node is already set: each later position is a uniform in-neighbor of
+// the one before, and a node with no in-neighbors ends the walk, with
+// the tail filled with Stop. It returns the live length. Sampling a new
+// walk and resampling a walk from its cut both step through this loop,
+// so identical RNG streams draw identical walks.
+func sampleFrom(g *hin.Graph, w []int32, from int, rng *rng) int32 {
+	cur := hin.NodeID(w[from])
+	for s := from + 1; s < len(w); s++ {
 		in := g.InNeighbors(cur)
 		if len(in) == 0 {
-			l := int32(s)
-			for ; s <= t; s++ {
-				w[s] = Stop
+			for k := s; k < len(w); k++ {
+				w[k] = Stop
 			}
-			return l
+			return int32(s)
 		}
 		cur = in[rng.intn(len(in))]
 		w[s] = int32(cur)
 	}
-	return int32(t + 1)
-}
-
-// fillLens derives the per-walk live-length table from the walk storage.
-// Build maintains lens as it samples; Load and Refresh reconstruct walks
-// wholesale and call this afterwards.
-func (ix *Index) fillLens() {
-	ix.lens = make([]int32, ix.n*ix.nw)
-	for si := range ix.lens {
-		w := ix.walks[si*ix.stride : (si+1)*ix.stride]
-		l := int32(ix.stride)
-		for s, node := range w {
-			if node == Stop {
-				l = int32(s)
-				break
-			}
-		}
-		ix.lens[si] = l
-	}
-}
-
-func (ix *Index) slot(v hin.NodeID, i int) []int32 {
-	base := (int(v)*ix.nw + i) * ix.stride
-	return ix.walks[base : base+ix.stride]
+	return int32(len(w))
 }
 
 // NodeView is a borrowed view of one node's walks: n_w walks of stride
-// positions each, plus their live lengths. For a resident index the
-// view aliases the index slabs directly (zero allocation); for a lazy
-// index it pins the decoded block, so holding a view keeps its data
-// valid even if the block is evicted from the cache concurrently.
+// positions each, plus their live lengths. It aliases the node's decoded
+// block, so holding a view keeps its data valid even if a lazy index's
+// cache evicts the block concurrently.
 //
 // Fetch a view once per query node and read all n_w walks through it —
-// that is one cache probe instead of n_w in lazy mode, and identical
-// code generation to the old direct-slab indexing in resident mode.
+// one block lookup (and on a lazy index one cache probe) instead of n_w.
 type NodeView struct {
 	walks  []int32 // nw walks, walk-major, stride positions each
 	lens   []int32 // nw live lengths
@@ -221,20 +247,51 @@ func (nv NodeView) Walk(i int) []int32 {
 // Len reports the number of live (non-Stop) positions of walk i.
 func (nv NodeView) Len(i int) int { return int(nv.lens[i]) }
 
-// View returns the walk view of node v. On a lazy index the
-// block-cache outcome (a hit, or a miss plus the bytes decoded) is
-// charged to co; a nil co disables the accounting, and a resident index
-// has nothing to charge.
+// View returns the walk view of node v. When v's block is read from
+// the file, the block-cache outcome (a hit, or a miss plus the bytes
+// decoded) is charged to co; a nil co disables the accounting, and a
+// block the table holds has nothing to charge.
+//
+// This is the read path of every query, so it reads the index fields
+// directly (calling layout.view copies the layout) and takes the block
+// and the offset in it from one 32-bit division.
 func (ix *Index) View(v hin.NodeID, co *obs.Cost) NodeView {
-	if ix.lazy != nil {
-		return ix.lazy.view(v, co)
+	b, r := uint32(v)/uint32(ix.bn), uint32(v)%uint32(ix.bn)
+	blk := ix.blocks[b]
+	if blk == nil {
+		return ix.fileView(v, int(b), co)
 	}
-	base := int(v) * ix.nw
+	nw, stride := ix.nw, ix.stride
+	base := int(r) * nw
 	return NodeView{
-		walks:  ix.walks[base*ix.stride : (base+ix.nw)*ix.stride],
-		lens:   ix.lens[base : base+ix.nw],
-		stride: ix.stride,
+		walks:  blk.walks[base*stride : (base+nw)*stride],
+		lens:   blk.lens[base : base+nw],
+		stride: stride,
 	}
+}
+
+// fileView is View for a block read from the file. A decode failure (I/O
+// error or corruption discovered mid-serve) cannot surface an error on
+// the query path, so it degrades to a stopped-at-origin view — walks of
+// length 1 never meet anything, so the node scores zero against all
+// others — while the error is counted and kept for
+// DecodeErrors/LastDecodeErr.
+func (ix *Index) fileView(v hin.NodeID, b int, co *obs.Cost) NodeView {
+	blk, err := ix.file.fetch(b, co)
+	if err != nil {
+		ix.file.fail(err)
+		walks := make([]int32, ix.nw*ix.stride)
+		lens := make([]int32, ix.nw)
+		for i := range walks {
+			walks[i] = Stop
+		}
+		for i := range lens {
+			walks[i*ix.stride] = int32(v)
+			lens[i] = 1
+		}
+		return NodeView{walks: walks, lens: lens, stride: ix.stride}
+	}
+	return ix.view(blk, b, int(v))
 }
 
 // MeetViews is Meet over two already-fetched node views: the first
@@ -272,15 +329,10 @@ func (ix *Index) NumWalks() int { return ix.nw }
 func (ix *Index) Length() int { return ix.t }
 
 // Walk returns the i-th walk from v: positions 0..t where position 0 is v
-// and Stop marks termination. The slice aliases internal storage (or a
-// pinned decoded block in lazy mode). Callers reading several walks of
-// the same node should fetch one View instead.
-func (ix *Index) Walk(v hin.NodeID, i int) []int32 {
-	if ix.lazy != nil {
-		return ix.lazy.view(v, nil).Walk(i)
-	}
-	return ix.slot(v, i)
-}
+// and Stop marks termination. The slice aliases v's decoded block.
+// Callers reading several walks of the same node should fetch one View
+// instead.
+func (ix *Index) Walk(v hin.NodeID, i int) []int32 { return ix.View(v, nil).Walk(i) }
 
 // Meet returns the first-meeting offset tau of the i-th coupled walk from
 // u and v: the smallest offset where both walks are at the same node
@@ -294,35 +346,20 @@ func (ix *Index) Meet(u, v hin.NodeID, i int) (tau int, ok bool) {
 // WalkLen reports the number of live (non-Stop) positions of walk (v, i),
 // in [1, Length()+1]. Callers iterating a walk can bound their loop with
 // it instead of testing each step against Stop.
-func (ix *Index) WalkLen(v hin.NodeID, i int) int {
-	if ix.lazy != nil {
-		return ix.lazy.view(v, nil).Len(i)
-	}
-	return int(ix.lens[int(v)*ix.nw+i])
-}
+func (ix *Index) WalkLen(v hin.NodeID, i int) int { return ix.View(v, nil).Len(i) }
 
-// MemoryBytes estimates the index storage, reported by the preprocessing
-// experiment. For a lazy index this is the cache budget plus overlay —
-// the amount of walk data the process is allowed to keep resident — not
-// the (larger) decoded size of the whole file.
-func (ix *Index) MemoryBytes() int64 {
-	if ix.lazy != nil {
-		return ix.lazy.memoryBytes()
-	}
-	return int64(len(ix.walks))*4 + int64(len(ix.lens))*4
-}
+// MemoryBytes estimates the walk data the index keeps in memory, as the
+// preprocessing experiment reports it: the decoded blocks in its table,
+// plus for a lazy index the block cache's resident bytes and the block
+// directory — not the (larger) decoded size of the whole file.
+func (ix *Index) MemoryBytes() int64 { return ix.memBytes + ix.file.memoryBytes() }
 
-// Lazy reports whether the index serves from the demand-paged block
-// cache (OpenLazy) rather than fully-resident slabs.
-func (ix *Index) Lazy() bool { return ix.lazy != nil }
+// Lazy reports whether the index reads blocks from a v3 file on demand
+// (OpenLazy, and every index Refresh derives from one).
+func (ix *Index) Lazy() bool { return ix.file != nil }
 
-// Close releases resources held by a lazy index (the underlying file
-// handle). It is a no-op for resident indexes and for lazy indexes that
-// share their file with a newer epoch (only the final Close of a
-// lazyFile closes the handle).
-func (ix *Index) Close() error {
-	if ix.lazy != nil {
-		return ix.lazy.close()
-	}
-	return nil
-}
+// Close closes the file behind a lazy index. Every index of a Refresh
+// chain shares that file, so Close on any of them closes it for all:
+// call it once the whole chain is done serving. A second Close, and
+// Close on a resident index, is a no-op.
+func (ix *Index) Close() error { return ix.file.close() }

@@ -1,7 +1,9 @@
 package walk
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"semsim/internal/hin"
@@ -246,5 +248,47 @@ func TestRNGStreamsIndependent(t *testing.T) {
 	f := r3.float64()
 	if f < 0 || f >= 1 {
 		t.Fatalf("float64() = %v out of [0,1)", f)
+	}
+}
+
+// TestBuildParallelBlocks: a parallel Build over many blocks, with
+// workers racing for them, is byte-identical to a serial Build, to
+// BuildStreaming's file and to Load of that file.
+func TestBuildParallelBlocks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g := braid(t, 40)
+	opts := Options{NumWalks: 150, Length: 15, Seed: 12}
+	serial, err := Build(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Parallel = true
+	parallel, err := Build(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parallel.blocks) < 4 {
+		t.Fatalf("%d blocks; want several so workers share them", len(parallel.blocks))
+	}
+	var a, b, streamed bytes.Buffer
+	if _, err := serial.WriteTo(&a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parallel.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildStreaming(g, opts, 0, &streamed); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) || !bytes.Equal(a.Bytes(), streamed.Bytes()) {
+		t.Fatal("serial Build, parallel Build and BuildStreaming disagree")
+	}
+	loaded, err := Load(bytes.NewReader(streamed.Bytes()), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameIndex(t, parallel, loaded)
+	if loaded.MemoryBytes() != parallel.MemoryBytes() {
+		t.Fatalf("loaded MemoryBytes %d, built %d", loaded.MemoryBytes(), parallel.MemoryBytes())
 	}
 }

@@ -283,12 +283,6 @@ func (m *Mutator) Commit() (CommitStats, error) {
 
 	ix.baseSem = newBase
 	ix.publish(snap)
-	if cur.walks.Lazy() {
-		// The superseded epoch's walk index holds a reference on the
-		// shared walk file; park it so Index.Close can release the chain.
-		// (Resident epochs hold nothing that needs explicit release.)
-		ix.retired = append(ix.retired, cur.walks)
-	}
 	commitLat.ObserveSince(t0)
 	ix.metrics.Counter("semsim_commit_total",
 		"Mutation batches committed.").Inc()
@@ -296,10 +290,6 @@ func (m *Mutator) Commit() (CommitStats, error) {
 		"Individual mutations (edge/node/concept ops) applied by commits.").Add(int64(m.Ops()))
 	ix.metrics.Counter("semsim_commit_walks_resampled_total",
 		"Walks resampled by incremental repair across all commits.").Add(int64(rst.Resampled))
-	ix.metrics.Gauge("semsim_mutator_epoch",
-		"current index epoch: 0 at build, +1 per committed mutation batch").Set(int64(epoch))
-	ix.metrics.Gauge("semsim_walk_index_bytes",
-		"storage of the flat walk arrays plus the per-walk length table").Set(newWalks.MemoryBytes())
 	return CommitStats{
 		Epoch:          epoch,
 		Ops:            m.Ops(),

@@ -226,13 +226,8 @@ type Index struct {
 	// the original build options and the raw (pre-kernel) measure.
 	opts    IndexOptions
 	baseSem Measure
-	// mu serializes Mutator commits; queries never take it. It also
-	// guards retired.
+	// mu serializes Mutator commits; queries never take it.
 	mu sync.Mutex
-	// retired collects superseded lazy walk indexes (each holds a
-	// reference on the shared walk file) so Close can release the file
-	// handle; resident epochs need no release and are not tracked.
-	retired []*walk.Index
 }
 
 // snapshot is one immutable epoch of the index: every read-only
@@ -281,38 +276,25 @@ func (snap *snapshot) setRef(eng engine.Backend) {
 // phase is timed into the registry; with opts.Trace set, the phases are
 // additionally recorded as trace spans.
 func BuildIndex(g *Graph, sem Measure, opts IndexOptions) (*Index, error) {
-	if opts.C == 0 {
-		opts.C = 0.6
-	}
-	buildLat := opts.Metrics.Histogram("semsim_build_seconds",
-		"end-to-end BuildIndex wall time", nil)
-	t0 := buildLat.Start()
-
-	sp := opts.Trace.Start("walk-sample")
-	ix, err := walk.Build(g, walk.Options{
-		NumWalks: opts.NumWalks,
-		Length:   opts.WalkLength,
-		Seed:     opts.Seed,
-		Parallel: opts.Parallel,
-		Metrics:  opts.Metrics,
+	return newIndex(g, sem, opts, "walk-sample", func() (*walk.Index, error) {
+		return walk.Build(g, walk.Options{
+			NumWalks: opts.NumWalks,
+			Length:   opts.WalkLength,
+			Seed:     opts.Seed,
+			Parallel: opts.Parallel,
+			Metrics:  opts.Metrics,
+		})
 	})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	idx, err := newIndex(g, sem, ix, opts)
-	if err != nil {
-		return nil, err
-	}
-	buildLat.ObserveSince(t0)
-	return idx, nil
 }
 
-// newIndex assembles epoch 0 around the sampled walks, wraps it in the
-// facade and attaches the shadow verifier (whose worker outlives
-// individual epochs — each sample is pinned to the reference of the
-// epoch that produced it) and the reference builder.
-func newIndex(g *Graph, sem Measure, walks *walk.Index, opts IndexOptions) (*Index, error) {
+// newIndex is the constructor tail of BuildIndex, LoadIndex and
+// OpenIndexFile: it makes the walk index with open under a trace span
+// named span, assembles epoch 0 around it, wraps it in the facade and
+// attaches the shadow verifier (whose worker outlives individual epochs
+// — each sample is pinned to the reference of the epoch that produced
+// it) and the reference builder, timing the whole into
+// semsim_build_seconds. If assembly fails, the walk index is closed.
+func newIndex(g *Graph, sem Measure, opts IndexOptions, span string, open func() (*walk.Index, error)) (*Index, error) {
 	if opts.ShadowRate > 0 {
 		switch opts.ShadowBackend {
 		case "", "exact", "linear", "reduced":
@@ -320,8 +302,21 @@ func newIndex(g *Graph, sem Measure, walks *walk.Index, opts IndexOptions) (*Ind
 			return nil, fmt.Errorf("semsim: shadow backend %q is not exact-capable (have exact, linear, reduced); drift against a sampling reference would measure its noise, not ours", opts.ShadowBackend)
 		}
 	}
+	if opts.C == 0 {
+		opts.C = 0.6
+	}
+	buildLat := opts.Metrics.Histogram("semsim_build_seconds",
+		"end-to-end BuildIndex wall time", nil)
+	t0 := buildLat.Start()
+	sp := opts.Trace.Start(span)
+	walks, err := open()
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
 	snap, err := assemble(g, sem, walks, opts, 0)
 	if err != nil {
+		walks.Close()
 		return nil, err
 	}
 	idx := &Index{metrics: opts.Metrics, opts: opts, baseSem: sem}
@@ -345,17 +340,21 @@ func newIndex(g *Graph, sem Measure, walks *walk.Index, opts IndexOptions) (*Ind
 		idx.refs = newRefBuilder(opts.Metrics, idx.buildRef)
 	}
 	idx.publish(snap)
-	opts.Metrics.Gauge("semsim_mutator_epoch",
-		"current index epoch: 0 at build, +1 per committed mutation batch").Set(0)
+	buildLat.ObserveSince(t0)
 	return idx, nil
 }
 
-// publish makes snap the current epoch. What shadow verification changes
-// on the read path is readied before the swap; the reference solve is
-// handed to the background builder after it.
+// publish makes snap the current epoch and sets the gauges that
+// describe it. What shadow verification changes on the read path is
+// readied before the swap; the reference solve is handed to the
+// background builder after it.
 func (ix *Index) publish(snap *snapshot) {
 	name := ix.prepareShadow(snap)
 	ix.snap.Store(snap)
+	ix.metrics.Gauge("semsim_mutator_epoch",
+		"current index epoch: 0 at build, +1 per committed mutation batch").Set(int64(snap.epoch))
+	ix.metrics.Gauge("semsim_walk_index_bytes",
+		"walk-index bytes in memory when the current epoch was published: its decoded blocks, plus a lazy index's block cache and directory").Set(snap.walks.MemoryBytes())
 	if name != "" {
 		ix.refs.submit(snap, name)
 	}
@@ -767,23 +766,18 @@ func (p View) ExplainQuery(u, v NodeID) (*Explanation, error) { return p.s.eng.E
 // reference builder (an in-flight linear or exact build stops at its
 // next sweep, and Close waits for the builder to exit), the shadow
 // verifier's worker (draining any queued verifications) and, for an
-// index opened with LazyWalks, the walk file handle shared by every
-// epoch's walk index. An index built without any of these has nothing
-// to release. Call Close after all in-flight queries and commits
-// finish; a second Close is a no-op.
+// index opened with LazyWalks, the walk file handle every epoch's walk
+// index shares, closed through the current epoch's. Superseded epochs
+// hold nothing else to release: each becomes garbage once its last View
+// drops it. An index built without any of these has nothing to release.
+// Call Close after all in-flight queries and commits finish; a second
+// Close is a no-op.
 func (ix *Index) Close() {
 	ix.refs.close()
 	ix.refs = nil
 	if ix.shadow != nil {
 		ix.shadow.Close()
 		ix.shadow = nil
-	}
-	ix.mu.Lock()
-	retired := ix.retired
-	ix.retired = nil
-	ix.mu.Unlock()
-	for _, w := range retired {
-		w.Close()
 	}
 	ix.snap.Load().walks.Close()
 }
@@ -985,24 +979,9 @@ func (ix *Index) DecodeErrors() int64 {
 // for the same graph. All other options behave as in BuildIndex (the
 // walk-sampling options are taken from the stored index).
 func LoadIndex(r io.Reader, g *Graph, sem Measure, opts IndexOptions) (*Index, error) {
-	if opts.C == 0 {
-		opts.C = 0.6
-	}
-	buildLat := opts.Metrics.Histogram("semsim_build_seconds",
-		"end-to-end BuildIndex wall time", nil)
-	t0 := buildLat.Start()
-	sp := opts.Trace.Start("load-walks")
-	walks, err := walk.Load(r, g)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	idx, err := newIndex(g, sem, walks, opts)
-	if err != nil {
-		return nil, err
-	}
-	buildLat.ObserveSince(t0)
-	return idx, nil
+	return newIndex(g, sem, opts, "load-walks", func() (*walk.Index, error) {
+		return walk.Load(r, g)
+	})
 }
 
 // OpenIndexFile rebuilds an Index from a walk file previously saved
@@ -1021,28 +1000,12 @@ func OpenIndexFile(path string, g *Graph, sem Measure, opts IndexOptions) (*Inde
 		defer f.Close()
 		return LoadIndex(f, g, sem, opts)
 	}
-	if opts.C == 0 {
-		opts.C = 0.6
-	}
-	buildLat := opts.Metrics.Histogram("semsim_build_seconds",
-		"end-to-end BuildIndex wall time", nil)
-	t0 := buildLat.Start()
-	sp := opts.Trace.Start("open-walks-lazy")
-	walks, err := walk.OpenLazyFile(path, g, walk.LazyOptions{
-		CacheBytes: opts.WalkCacheBytes,
-		Metrics:    opts.Metrics,
+	return newIndex(g, sem, opts, "open-walks-lazy", func() (*walk.Index, error) {
+		return walk.OpenLazyFile(path, g, walk.LazyOptions{
+			CacheBytes: opts.WalkCacheBytes,
+			Metrics:    opts.Metrics,
+		})
 	})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	idx, err := newIndex(g, sem, walks, opts)
-	if err != nil {
-		walks.Close()
-		return nil, err
-	}
-	buildLat.ObserveSince(t0)
-	return idx, nil
 }
 
 // MemoryBytes reports the walk-index storage plus the SLING cache and
