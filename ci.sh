@@ -31,7 +31,9 @@
 #      cross-backend conformance harness of internal/engine), plus the
 #      whole suite at -cpu 1,2,4 (the meet-index build and the scoring
 #      pools split their work by GOMAXPROCS, so byte-identity and
-#      strategy identity must hold at every CPU count), plus the
+#      strategy identity must hold at every CPU count), plus the mc,
+#      walk and engine packages under -race at -cpu 1,4 (the scoring
+#      pool's claim loops with no helper and with three), plus the
 #      background shadow-reference builder's tests at -count=10
 #   3. fuzz seed corpora as unit tests      (IO robustness regression,
 #      plus the backend-agreement differential fuzzer's seeds, plus the
@@ -243,6 +245,9 @@ go test -race ./internal/obs/
 
 echo "==> tier 2: backend conformance under race"
 go test -race ./internal/engine/...
+
+echo "==> tier 2: scoring-pool claim loops under race with three helpers"
+go test -race -count=1 -cpu 1,4 ./internal/mc/ ./internal/walk/ ./internal/engine/...
 
 echo "==> tier 2: mutator churn stress under race"
 go test -race -run 'TestMutatorChurnStress|TestMutatorSnapshotIsolation' -count=1 .

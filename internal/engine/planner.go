@@ -31,8 +31,11 @@ const (
 	StrategySemBounded
 	// StrategyCollision scores only candidates whose walks actually
 	// meet u's, enumerated from u's own cells of the walk-keyed meet
-	// index. Its cost does not grow with n, so it wins on all but tiny
-	// graphs.
+	// index: it reads u's n_w*(t+1) cells plus the co-locations filed
+	// in them, then scores every source met there. The reads do not
+	// grow with n, but on the graphs measured the met sources do (1,010
+	// of 1,110 nodes on servebench's graph, 9,895 of 12,110 at 12k
+	// nodes), so it saves brute's meet scans, not its walk scoring.
 	StrategyCollision
 	// StrategyLinear reads the linear backend's converged linearized
 	// solve: every query shape is a row scan over the solved matrix.
@@ -192,8 +195,11 @@ func (st Stats) linearCap() int {
 //     walks: ~n * n_w walk comparisons;
 //   - collision reads only u's own cells of the walk-keyed meet index,
 //     one per live walk position — MeetEntries/n on average — and
-//     visits about as many coupled co-locations in them, independent
-//     of n, which is exactly why it wins at scale.
+//     visits about as many coupled co-locations in them. The model
+//     prices only these reads. The sources met there are then scored
+//     as brute scores them, and their count grows with n on the graphs
+//     measured (1,010 of 1,110 nodes, 9,895 of 12,110), so the model
+//     overstates collision's lead as n grows.
 //
 // Brute is the fallback. The sem-bounded scan is never picked: it is
 // not result-identical (see StrategySemBounded).

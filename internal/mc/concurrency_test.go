@@ -1,11 +1,14 @@
 package mc
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"semsim/internal/hin"
+	"semsim/internal/obs"
+	"semsim/internal/rank"
 	"semsim/internal/semantic"
 	"semsim/internal/walk"
 )
@@ -224,5 +227,165 @@ func soCacheConcurrent(t *testing.T, g *hin.Graph, m semantic.Measure) {
 	}
 	if got, want := s.Misses, serial.Summary().Misses; got != want {
 		t.Errorf("concurrent probes counted %d misses, a serial replay %d", got, want)
+	}
+}
+
+// TestCollisionScanWorkerInvariant: the collision scan's results and its
+// whole Cost are the same at every worker count, and every single-source
+// entry equals QueryCost bit for bit. The graph yields more than one walk
+// chunk per source and, for some sources, enough groups for the scoring
+// phase to split.
+func TestCollisionScanWorkerInvariant(t *testing.T) {
+	const n = 150
+	g := randomGraph(61, n, 4*n, true)
+	m := randomMeasure(62, n)
+	ix, err := walk.Build(g, walk.Options{NumWalks: 40, Length: 8, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.NumWalks() < 2*walkChunk {
+		t.Fatalf("%d walks make fewer than 2 walk chunks", ix.NumWalks())
+	}
+	meet := walk.BuildMeetIndex(ix)
+	// Every probe of the dense table is a hit whatever ran before, so
+	// the Cost of a scan does not depend on the cache's history.
+	cache := NewSOCache(g, m, 0.1)
+	if !cache.EnableDense(0, 1) {
+		t.Fatal("EnableDense refused")
+	}
+	type scan struct {
+		top, single []rank.Scored
+		topCo, ssCo obs.Cost
+	}
+	var want []scan
+	maxGroups := int64(0)
+	for _, workers := range []int{1, 2, 3, 8} {
+		e, err := New(ix, m, Options{C: 0.6, Theta: 0.05, Cache: cache, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < n; u++ {
+			var got scan
+			got.top = e.TopKWithIndexCost(hin.NodeID(u), 10, meet, &got.topCo)
+			got.single = e.SingleSourceCost(hin.NodeID(u), meet, &got.ssCo)
+			if workers == 1 {
+				for _, s := range got.single {
+					if q := e.QueryCost(hin.NodeID(u), s.Node, nil); !sameBits(q, s.Score) {
+						t.Fatalf("u=%d v=%d: single-source %v != QueryCost %v", u, s.Node, s.Score, q)
+					}
+				}
+				maxGroups = max(maxGroups, got.ssCo.Pairs)
+				want = append(want, got)
+				continue
+			}
+			sameScored(t, "TopKWithIndexCost", want[u].top, got.top)
+			sameScored(t, "SingleSourceCost", want[u].single, got.single)
+			if got.topCo != want[u].topCo || got.ssCo != want[u].ssCo {
+				t.Fatalf("workers=%d u=%d: Cost top %+v single %+v, want %+v and %+v",
+					workers, u, got.topCo, got.ssCo, want[u].topCo, want[u].ssCo)
+			}
+		}
+	}
+	if maxGroups < 2*minCandidatesPerWorker {
+		t.Fatalf("at most %d groups per scan: the scoring phase never split", maxGroups)
+	}
+}
+
+// TestScratchPoolMixedSizes: scans on two estimators whose graphs differ
+// in node count, walk count and walk length share the pooled scratch;
+// interleaved, they answer what each answers alone.
+func TestScratchPoolMixedSizes(t *testing.T) {
+	type env struct {
+		e    *Estimator
+		meet *walk.MeetIndex
+		n    int
+	}
+	mk := func(seed int64, n, nw, length int) env {
+		g := randomGraph(seed, n, 4*n, true)
+		m := randomMeasure(seed+1, n)
+		ix, err := walk.Build(g, walk.Options{NumWalks: nw, Length: length, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(ix, m, Options{C: 0.6, Theta: 0.05, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env{e, walk.BuildMeetIndex(ix), n}
+	}
+	envs := []env{mk(81, 80, 24, 10), mk(83, 300, 40, 8)}
+	type answers struct{ single, brute [][]rank.Scored }
+	alone := make([]answers, len(envs))
+	for k, en := range envs {
+		for u := 0; u < en.n; u++ {
+			alone[k].single = append(alone[k].single, en.e.SingleSourceCost(hin.NodeID(u), en.meet, nil))
+			alone[k].brute = append(alone[k].brute, en.e.TopKCost(hin.NodeID(u), 5, nil))
+		}
+	}
+	for u := 0; u < envs[1].n; u++ {
+		for k, en := range envs {
+			v := hin.NodeID(u % en.n)
+			sameScored(t, "SingleSourceCost", alone[k].single[v], en.e.SingleSourceCost(v, en.meet, nil))
+			sameScored(t, "TopKCost", alone[k].brute[v], en.e.TopKCost(v, 5, nil))
+		}
+	}
+}
+
+// panicTask panics in participant 1 only. Every other participant holds
+// its first chunk until participant 1 has panicked, so participant 1 is
+// sure to claim a chunk.
+type panicTask struct {
+	val    any
+	once   sync.Once
+	raised chan struct{}
+}
+
+func (pt *panicTask) runChunk(p, c int) {
+	if p == 1 {
+		pt.once.Do(func() { close(pt.raised) })
+		panic(pt.val)
+	}
+	<-pt.raised
+}
+
+// countTask counts the chunks it runs.
+type countTask struct{ ran atomic.Int64 }
+
+func (ct *countTask) runChunk(p, c int) { ct.ran.Add(1) }
+
+// TestFanoutHelperPanicReachesCaller: a panic in a spawned helper is
+// raised in the caller with the same value, after the join, and the
+// fan-out and the estimator's scans work afterwards.
+func TestFanoutHelperPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		reg := obs.NewRegistry()
+		e, meet, g := metricsEnv(t, 64, reg)
+		oracle, err := New(e.ix, e.sem, Options{C: e.c, Theta: e.theta, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f fanout
+		val := fmt.Errorf("helper failure at workers=%d", workers)
+		func() {
+			defer func() {
+				if r := recover(); r != val {
+					t.Fatalf("workers=%d: caller recovered %v, want %v", workers, r, val)
+				}
+			}()
+			f.run(e, workers, 8, nil, &panicTask{val: val, raised: make(chan struct{})})
+			t.Fatalf("workers=%d: run returned without panicking", workers)
+		}()
+		if got := reg.Snapshot().Gauges["semsim_pool_active_workers"]; got != 0 {
+			t.Fatalf("workers=%d: %v helpers still active after the panic", workers, got)
+		}
+		var ct countTask
+		f.run(e, workers, 40, nil, &ct)
+		if ct.ran.Load() != 40 {
+			t.Fatalf("workers=%d: fan-out ran %d of 40 chunks after a panic", workers, ct.ran.Load())
+		}
+		for u := 0; u < g.NumNodes(); u += 9 {
+			sameScored(t, "SingleSourceCost", oracle.SingleSourceCost(hin.NodeID(u), meet, nil), e.SingleSourceCost(hin.NodeID(u), meet, nil))
+			sameScored(t, "TopKCost", oracle.TopKCost(hin.NodeID(u), 5, nil), e.TopKCost(hin.NodeID(u), 5, nil))
+		}
 	}
 }

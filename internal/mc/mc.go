@@ -20,9 +20,11 @@
 // Estimator holds no per-query state (the walk index, graph and semantic
 // measure are read-only, and the attached SOCache is sharded and
 // internally locked), so one Estimator can be shared by any number of
-// goroutines. TopKCost and SingleSourceCost additionally fan their
-// candidate scoring out across an internal worker pool (Options.Workers),
-// and QueryBatch evaluates many pairs concurrently on the shared cache.
+// goroutines. TopKCost, SingleSourceCost, TopKWithIndexCost and
+// QueryBatch additionally split their work into fixed-size chunks that
+// the calling goroutine and up to Options.Workers-1 helpers claim
+// (pool.go), so their results and Costs do not depend on the worker
+// count; QueryBatch's workers share one SO cache.
 //
 // # One loop per query shape
 //
@@ -37,6 +39,7 @@ package mc
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -61,9 +64,10 @@ type Options struct {
 	// Cache, when non-nil, memoizes SO normalizations (SLING-style).
 	// The cache is sharded and safe to share across estimators.
 	Cache *SOCache
-	// Workers sizes the scoring pool used by TopKCost, SingleSourceCost
-	// and QueryBatch. 0 uses runtime.GOMAXPROCS(0); 1 forces serial
-	// scoring.
+	// Workers is how many goroutines score a parallel task (TopKCost,
+	// SingleSourceCost, TopKWithIndexCost, QueryBatch): the calling
+	// goroutine plus Workers-1 spawned helpers. 0 uses
+	// runtime.GOMAXPROCS(0); 1 forces serial scoring.
 	Workers int
 	// Metrics, when non-nil, receives the estimator's counters,
 	// latency histograms and pruning statistics (see internal/obs).
@@ -87,8 +91,8 @@ type Estimator struct {
 	m       instruments
 }
 
-// minCandidatesPerWorker is the smallest candidate-chunk worth handing a
-// goroutine; below it the spawn overhead dominates the scoring work.
+// minCandidatesPerWorker is the fewest pairs worth a scoring
+// participant; below it the spawn overhead dominates the scoring work.
 const minCandidatesPerWorker = 32
 
 // New builds an Estimator over a walk index.
@@ -123,9 +127,9 @@ func New(ix *walk.Index, sem semantic.Measure, opts Options) (*Estimator, error)
 // Cache returns the attached SO cache, or nil.
 func (e *Estimator) Cache() *SOCache { return e.cache }
 
-// scoringWorkers sizes the pool for a task of n independent units,
-// capping at the configured pool size and at one worker per
-// minCandidatesPerWorker units so tiny tasks stay serial.
+// scoringWorkers sizes the participants of a task of n pairs, capping
+// at the configured pool size and at one participant per
+// minCandidatesPerWorker pairs so tiny tasks stay serial.
 func (e *Estimator) scoringWorkers(n int) int {
 	w := e.workers
 	if byWork := n / minCandidatesPerWorker; byWork < w {
@@ -168,7 +172,8 @@ func (e *Estimator) QueryCost(u, v hin.NodeID, co *obs.Cost) float64 {
 // Explain and the top-k scans (which report aggregate candidate counts
 // instead of per-candidate timings). co, when non-nil, receives the
 // pair's cost accounting (plain field bumps, never shared across
-// goroutines — parallel scans give each worker a local Cost and merge).
+// goroutines — parallel scans give each participant its own Cost and
+// merge).
 // ex, when non-nil, additionally receives the evidence behind the
 // estimate (explain.go); the score is the same either way.
 func (e *Estimator) query(u, v hin.NodeID, co *obs.Cost, ex *quality.Explanation) float64 {
@@ -193,7 +198,7 @@ func (e *Estimator) query(u, v hin.NodeID, co *obs.Cost, ex *quality.Explanation
 			continue
 		}
 		coupled++
-		s, hitCap := e.walkScore(vu, vv, i, tau, co)
+		s, hitCap := e.walkScore(vu, vv, i, tau, nil, co)
 		if hitCap {
 			capped++
 		}
@@ -267,7 +272,7 @@ func (e *Estimator) QueryBatch(pairs [][2]hin.NodeID, workers int) []float64 {
 
 // QueryBatchInto is QueryBatch writing into a caller-provided slice
 // (len(dst) must equal len(pairs)) and returning it. With a reused dst
-// and serial scoring the warm path performs no allocations at all.
+// the warm path performs no allocations at all.
 func (e *Estimator) QueryBatchInto(dst []float64, pairs [][2]hin.NodeID, workers int) []float64 {
 	t0 := e.m.batchLat.Start()
 	if workers <= 0 {
@@ -276,38 +281,31 @@ func (e *Estimator) QueryBatchInto(dst []float64, pairs [][2]hin.NodeID, workers
 	if byWork := len(pairs) / minCandidatesPerWorker; byWork < workers {
 		workers = byWork
 	}
-	out := dst
-	if workers <= 1 {
-		for i, p := range pairs {
-			out[i] = e.QueryCost(p[0], p[1], nil)
-		}
-		e.finishBatch(t0, len(pairs))
-		return out
-	}
-	var wg sync.WaitGroup
-	chunk := (len(pairs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		e.m.poolTasks.Inc()
-		go func(lo, hi int) {
-			defer wg.Done()
-			e.m.poolActive.Add(1)
-			defer e.m.poolActive.Add(-1)
-			for i := lo; i < hi; i++ {
-				out[i] = e.QueryCost(pairs[i][0], pairs[i][1], nil)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	bs := batchPool.Get().(*batchScratch)
+	bs.e, bs.dst, bs.pairs = e, dst, pairs
+	bs.run(e, workers, numChunks(len(pairs), pairChunk), nil, bs)
+	bs.e, bs.dst, bs.pairs = nil, nil, nil
+	batchPool.Put(bs)
 	e.finishBatch(t0, len(pairs))
-	return out
+	return dst
+}
+
+// batchScratch is one batch's pooled fan-out state: pairs are scored
+// positionally into dst.
+type batchScratch struct {
+	fanout
+	e     *Estimator
+	dst   []float64
+	pairs [][2]hin.NodeID
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+func (bs *batchScratch) runChunk(_, c int) {
+	lo, hi := chunkBounds(c, pairChunk, len(bs.pairs))
+	for i := lo; i < hi; i++ {
+		bs.dst[i] = bs.e.QueryCost(bs.pairs[i][0], bs.pairs[i][1], nil)
+	}
 }
 
 // finishBatch flushes the batch-level instruments.
@@ -317,15 +315,30 @@ func (e *Estimator) finishBatch(t0 time.Time, pairs int) {
 	e.m.batchPairs.Add(int64(pairs))
 }
 
+// uStep is one walk side's inputs to a coupled step from node c to its
+// in-neighbor next: the in-edge aggregate from next and c's in-degree.
+type uStep struct {
+	w         float64
+	mult, deg int32
+}
+
+// stepInputs reads one side of a coupled step (c -> next).
+func (e *Estimator) stepInputs(c, next hin.NodeID) uStep {
+	w, mult := e.g.InEdgeAggregate(c, next)
+	return uStep{w: w, mult: int32(mult), deg: int32(e.g.InDegree(c))}
+}
+
 // walkScore computes (P/Q) * c^tau for the prefix of the i-th coupled walk
 // up to its meeting offset tau, with theta pruning (lines 10-18). capped
 // reports whether the theta cap cut the product short (Definition 4.5) —
 // the per-walk signal behind semsim_theta_walk_caps_total. The walks are
 // read through the caller's pinned views so one block probe covers all
-// n_w walks of a lazy index. A non-nil co charges each step's work (the
-// step itself, the SO probe by outcome, the sem kernel probe); the nil
-// path takes one predictable branch per step.
-func (e *Estimator) walkScore(vu, vv walk.NodeView, i, tau int, co *obs.Cost) (score float64, capped bool) {
+// n_w walks of a lazy index. us, when non-nil, holds u's step inputs for
+// walk i up to tau (a collision scan reads them once for all the pairs
+// it scores on u's walks); nil reads them here. A non-nil co charges
+// each step's work (the step itself, the SO probe by outcome, the sem
+// kernel probe); the nil path takes one predictable branch per step.
+func (e *Estimator) walkScore(vu, vv walk.NodeView, i, tau int, us []uStep, co *obs.Cost) (score float64, capped bool) {
 	wu := vu.Walk(i)
 	wv := vv.Walk(i)
 	simW := 1.0
@@ -346,14 +359,19 @@ func (e *Estimator) walkScore(vu, vv walk.NodeView, i, tau int, co *obs.Cost) (s
 		if so == 0 {
 			return 0, false
 		}
+		var su uStep
+		if us != nil {
+			su = us[s]
+		} else {
+			su = e.stepInputs(cu, nu)
+		}
+		sv := e.stepInputs(cv, nv)
 		// P step: sem(next pair) * aggregated edge weights / SO.
-		wU, multU := e.g.InEdgeAggregate(cu, nu)
-		wV, multV := e.g.InEdgeAggregate(cv, nv)
-		pStep := e.sem.Sim(nu, nv) * wU * wV / so
+		pStep := e.sem.Sim(nu, nv) * su.w * sv.w / so
 		// Q step: the uniform proposal picks each in-slot equally, so
 		// the probability of the chosen nodes is mult/|I|.
-		qStep := float64(multU) * float64(multV) /
-			(float64(e.g.InDegree(cu)) * float64(e.g.InDegree(cv)))
+		qStep := float64(su.mult) * float64(sv.mult) /
+			(float64(su.deg) * float64(sv.deg))
 
 		simW *= pStep / qStep * e.c
 		if e.theta > 0 && simW <= e.theta {
@@ -368,82 +386,48 @@ func (e *Estimator) walkScore(vu, vv walk.NodeView, i, tau int, co *obs.Cost) (s
 // TopKCost returns the k nodes most similar to u (excluding u) in
 // descending score order, omitting zero scores — the paper's top-k
 // similarity search workload — and charges the scan's work to co (nil
-// turns the accounting off). Candidates are scored in parallel across
-// the worker pool; results are identical to a serial scan (rank.TopK's
-// total order makes the selection independent of scoring order).
-// Parallel workers accumulate into worker-local Costs merged after the
-// join, so the accounting adds no cross-goroutine traffic.
+// turns the accounting off). Candidates are scored in chunks across the
+// worker pool into one slot each, and the caller offers the nonzero
+// scores to the heap in node order, so results equal a serial scan's.
 func (e *Estimator) TopKCost(u hin.NodeID, k int, co *obs.Cost) []rank.Scored {
 	t0 := e.m.topkLat.Start()
 	n := e.g.NumNodes()
-	workers := e.scoringWorkers(n)
-	if workers <= 1 {
-		h := rank.NewTopK(k)
-		for v := 0; v < n; v++ {
-			if hin.NodeID(v) == u {
-				continue
-			}
-			if s := e.query(u, hin.NodeID(v), co, nil); s > 0 {
-				h.Push(rank.Scored{Node: hin.NodeID(v), Score: s})
-			}
-		}
-		e.finishTopK(t0, h.Pushes())
-		return h.Sorted()
-	}
-	type local struct {
-		h    *rank.TopK
-		cost obs.Cost
-	}
-	locals := make([]local, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		e.m.poolTasks.Inc()
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			e.m.poolActive.Add(1)
-			defer e.m.poolActive.Add(-1)
-			var wco *obs.Cost
-			if co != nil {
-				wco = &locals[w].cost
-			}
-			h := rank.NewTopK(k)
-			for v := lo; v < hi; v++ {
-				if hin.NodeID(v) == u {
-					continue
-				}
-				if s := e.query(u, hin.NodeID(v), wco, nil); s > 0 {
-					h.Push(rank.Scored{Node: hin.NodeID(v), Score: s})
-				}
-			}
-			locals[w].h = h
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	ts := topkPool.Get().(*topkScratch)
+	ts.e, ts.u, ts.scores = e, u, slices.Grow(ts.scores[:0], n)[:n]
+	ts.run(e, e.scoringWorkers(n), numChunks(n, pairChunk), co, ts)
 	h := rank.NewTopK(k)
-	pushes := 0
-	for w := range locals {
-		if locals[w].h == nil {
+	for v, s := range ts.scores {
+		if s > 0 {
+			h.Push(rank.Scored{Node: hin.NodeID(v), Score: s})
+		}
+	}
+	ts.e = nil
+	topkPool.Put(ts)
+	e.finishTopK(t0, h.Pushes())
+	return h.Sorted()
+}
+
+// topkScratch is one brute top-k's pooled fan-out state: candidate v
+// is scored into scores[v] (0 for u itself).
+type topkScratch struct {
+	fanout
+	e      *Estimator
+	u      hin.NodeID
+	scores []float64
+}
+
+var topkPool = sync.Pool{New: func() any { return new(topkScratch) }}
+
+func (ts *topkScratch) runChunk(p, c int) {
+	lo, hi := chunkBounds(c, pairChunk, len(ts.scores))
+	co := ts.cost(p)
+	for v := lo; v < hi; v++ {
+		if hin.NodeID(v) == ts.u {
+			ts.scores[v] = 0
 			continue
 		}
-		if co != nil {
-			co.Add(&locals[w].cost)
-		}
-		pushes += locals[w].h.Pushes()
-		for _, s := range locals[w].h.Sorted() {
-			h.Push(s)
-		}
+		ts.scores[v] = ts.e.query(ts.u, hin.NodeID(v), co, nil)
 	}
-	e.finishTopK(t0, pushes)
-	return h.Sorted()
 }
 
 // finishTopK flushes the top-k instruments: the whole-search latency and

@@ -31,7 +31,9 @@ type instruments struct {
 	batches    *obs.Counter
 	batchLat   *obs.Histogram
 	batchPairs *obs.Counter
-	// Scoring pool: goroutines currently scoring + total spawned.
+	// Scoring pool: helpers currently scoring + total spawned. The
+	// calling goroutine scores alongside its helpers and is counted in
+	// neither.
 	poolActive *obs.Gauge
 	poolTasks  *obs.Counter
 	// Explain path (estimate-quality evidence queries).
@@ -64,8 +66,8 @@ func newInstruments(r *obs.Registry) instruments {
 		batchLat:   r.Histogram("semsim_batch_seconds", "whole-batch latency", nil),
 		batchPairs: r.Counter("semsim_batch_pairs_total", "pairs evaluated via batches"),
 
-		poolActive: r.Gauge("semsim_pool_active_workers", "scoring-pool goroutines currently running"),
-		poolTasks:  r.Counter("semsim_pool_workers_spawned_total", "scoring-pool goroutines spawned"),
+		poolActive: r.Gauge("semsim_pool_active_workers", "scoring-pool helper goroutines currently running (the calling goroutine scores too and is not counted)"),
+		poolTasks:  r.Counter("semsim_pool_workers_spawned_total", "scoring-pool helper goroutines spawned (a task of p participants spawns p-1)"),
 
 		explains:   r.Counter("semsim_explain_total", "explain-mode queries (per-query estimate-quality evidence)"),
 		explainLat: r.Histogram("semsim_explain_seconds", "explain-mode query latency", nil),

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -16,15 +17,28 @@ type ssGroup struct {
 	lo, hi int
 }
 
-// ssScratch holds the per-sweep buffers (collision list, group
-// boundaries, per-group scores, per-worker cost accumulators) so
-// repeated single-source sweeps reuse their allocations instead of
-// regrowing them on every call.
+// ssScratch is one collision scan's pooled working set. Scans on
+// estimators of different sizes share the pool, so every buffer is
+// grown to the scan's size before use.
 type ssScratch struct {
+	fanout
+	// The scan's inputs, set for its duration.
+	e    *Estimator
+	u    hin.NodeID
+	vu   walk.NodeView
+	meet *walk.MeetIndex
+	// Phase 1: each walk chunk's first meetings, each participant's
+	// seen flags (walk.MeetIndex.MeetingsAppend), and u's step inputs,
+	// one row of t per walk slot.
+	parts [][]walk.Collision
+	seen  [][]bool
+	steps []uStep
+	// Phases 2 and 3: the meetings in walk order, grouped by source, the
+	// group boundaries and the per-group scores.
+	raw    []walk.Collision
 	cols   []walk.Collision
 	groups []ssGroup
 	scores []float64
-	costs  []obs.Cost
 }
 
 var ssScratchPool = sync.Pool{New: func() any { return new(ssScratch) }}
@@ -35,24 +49,21 @@ var ssScratchPool = sync.Pool{New: func() any { return new(ssScratch) }}
 // leaves as future work. The result contains only nodes with a nonzero
 // estimate, in ascending node order. Estimates are identical to calling
 // QueryCost(u, v) per candidate (the meeting detection is the same and
-// the gate and flush are shared; only the enumeration changes).
-// Candidate groups are scored in parallel across the worker pool; the
-// output order and values match the serial scan. co (nil for none) is
-// charged the meet-index cells read, plus each group's walk scoring
-// through the same per-step accounting as QueryCost; parallel workers
-// accumulate into pooled worker-local Costs merged after the join.
+// the gate and flush are shared; only the enumeration changes). co (nil
+// for none) is charged the meet-index cells read, plus each group's walk
+// scoring through the same per-step accounting as QueryCost.
 func (e *Estimator) SingleSourceCost(u hin.NodeID, meet *walk.MeetIndex, co *obs.Cost) []rank.Scored {
 	sc := ssScratchPool.Get().(*ssScratch)
-	defer ssScratchPool.Put(sc)
-	if !e.scoreCollisions(u, meet, co, sc) {
-		return nil
-	}
-	out := make([]rank.Scored, 0, len(sc.groups))
-	for i, g := range sc.groups {
-		if sc.scores[i] > 0 {
-			out = append(out, rank.Scored{Node: g.other, Score: sc.scores[i]})
+	var out []rank.Scored
+	if e.scoreCollisions(u, meet, co, sc) {
+		out = make([]rank.Scored, 0, len(sc.groups))
+		for i, g := range sc.groups {
+			if sc.scores[i] > 0 {
+				out = append(out, rank.Scored{Node: g.other, Score: sc.scores[i]})
+			}
 		}
 	}
+	ssScratchPool.Put(sc)
 	return out
 }
 
@@ -61,24 +72,52 @@ func (e *Estimator) SingleSourceCost(u hin.NodeID, meet *walk.MeetIndex, co *obs
 // into sc.groups and sc.scores (aligned, ascending node order, zero
 // scores included) and flushes the single-source instruments. It
 // reports false when no walk collides with u's.
+//
+// The sweep runs in three phases, the first and last split into chunks
+// across the worker pool:
+//  1. per walk chunk, the first meetings of u's walks and u's half of
+//     each step up to the walk's last meeting (read once per scan
+//     rather than once per coupled walk);
+//  2. the chunks concatenated in walk order and grouped by source;
+//  3. per group chunk, query's gate, walk scoring and flush.
+//
+// A scan that panics leaves sc dirty, so callers return sc to the pool
+// only after a normal return.
 func (e *Estimator) scoreCollisions(u hin.NodeID, meet *walk.MeetIndex, co *obs.Cost, sc *ssScratch) bool {
 	t0 := e.m.singleLat.Start()
+	n, nw, t := e.g.NumNodes(), e.ix.NumWalks(), e.ix.Length()
 	vu := e.ix.View(u, co)
 	if co != nil {
 		// The enumeration reads one meet-index cell per live position
 		// of u's walks.
-		for i := 0; i < e.ix.NumWalks(); i++ {
+		for i := 0; i < nw; i++ {
 			co.MeetCells += int64(vu.Len(i))
 		}
 	}
-	sc.cols = meet.CollisionsAppend(sc.cols[:0], u)
-	cols := sc.cols
-	if len(cols) == 0 {
+	sc.e, sc.u, sc.vu, sc.meet = e, u, vu, meet
+	defer sc.release()
+
+	chunks := numChunks(nw, walkChunk)
+	participants := min(e.workers, chunks)
+	sc.parts = slices.Grow(sc.parts[:0], chunks)[:chunks]
+	sc.seen = slices.Grow(sc.seen[:0], participants)[:participants]
+	for p, seen := range sc.seen {
+		sc.seen[p] = slices.Grow(seen[:0], n)[:n]
+	}
+	sc.steps = slices.Grow(sc.steps[:0], nw*t)[:nw*t]
+	sc.run(e, participants, chunks, nil, walkChunks{sc})
+
+	raw := sc.raw[:0]
+	for _, part := range sc.parts {
+		raw = append(raw, part...)
+	}
+	sc.raw = raw
+	if len(raw) == 0 {
 		e.finishSingleSource(t0, 0)
 		return false
 	}
-	// Collisions arrive grouped by the colliding node; record the group
-	// boundaries so groups can be scored independently.
+	cols := walk.GroupBySource(sc.cols[:0], raw, n)
+	sc.cols = cols
 	groups := sc.groups[:0]
 	lo := 0
 	for i := 1; i <= len(cols); i++ {
@@ -89,84 +128,70 @@ func (e *Estimator) scoreCollisions(u hin.NodeID, meet *walk.MeetIndex, co *obs.
 	}
 	sc.groups = groups
 
-	// scoreGroup is query's loop over the walks the enumeration already
-	// found meeting, with query's gate and flush.
-	scoreGroup := func(g ssGroup, gco *obs.Cost) float64 {
-		semUV, settled, sample := e.gate(u, g.other, gco)
-		if !sample {
-			return settled
+	sc.scores = slices.Grow(sc.scores[:0], len(groups))[:len(groups)]
+	sc.run(e, e.scoringWorkers(len(groups)), numChunks(len(groups), pairChunk), co, groupChunks{sc})
+
+	e.finishSingleSource(t0, len(groups))
+	return true
+}
+
+// release drops the scan's references to its estimator and indexes, so
+// a pooled scratch keeps no superseded epoch alive.
+func (sc *ssScratch) release() {
+	sc.e, sc.meet, sc.vu = nil, nil, walk.NodeView{}
+}
+
+// walkChunks is phase 1 of a collision scan.
+type walkChunks struct{ *ssScratch }
+
+func (sc walkChunks) runChunk(p, c int) {
+	e, nw, t := sc.e, sc.e.ix.NumWalks(), sc.e.ix.Length()
+	lo, hi := chunkBounds(c, walkChunk, nw)
+	part := sc.meet.MeetingsAppend(sc.parts[c][:0], sc.u, sc.vu, lo, hi, sc.seen[p])
+	sc.parts[c] = part
+	for j, col := range part {
+		if j+1 < len(part) && part[j+1].Walk == col.Walk {
+			continue
 		}
-		vo := e.ix.View(g.other, gco)
+		// col is its walk's last first meeting: no coupled walk
+		// scores a step of u's walk past it.
+		i := int(col.Walk)
+		w, steps := sc.vu.Walk(i), sc.steps[i*t:]
+		for s := 0; s < col.Tau; s++ {
+			steps[s] = e.stepInputs(hin.NodeID(w[s]), hin.NodeID(w[s+1]))
+		}
+	}
+}
+
+// groupChunks is phase 3 of a collision scan: query's loop over the
+// walks the enumeration already found meeting, with query's gate and
+// flush.
+type groupChunks struct{ *ssScratch }
+
+func (sc groupChunks) runChunk(p, c int) {
+	e, t := sc.e, sc.e.ix.Length()
+	co := sc.cost(p)
+	lo, hi := chunkBounds(c, pairChunk, len(sc.groups))
+	for gi := lo; gi < hi; gi++ {
+		g := sc.groups[gi]
+		semUV, settled, sample := e.gate(sc.u, g.other, co)
+		if !sample {
+			sc.scores[gi] = settled
+			continue
+		}
+		vo := e.ix.View(g.other, co)
 		var total float64
 		var capped int64
-		for _, col := range cols[g.lo:g.hi] {
-			s, hitCap := e.walkScore(vu, vo, int(col.Walk), col.Tau, gco)
+		for _, col := range sc.cols[g.lo:g.hi] {
+			i := int(col.Walk)
+			s, hitCap := e.walkScore(sc.vu, vo, i, col.Tau, sc.steps[i*t:(i+1)*t], co)
 			if hitCap {
 				capped++
 			}
 			total += s
 		}
-		return e.flush(semUV, total, int64(g.hi-g.lo), capped, gco)
+		sc.scores[gi] = e.flush(semUV, total, int64(g.hi-g.lo), capped, co)
 	}
-
-	if cap(sc.scores) < len(groups) {
-		sc.scores = make([]float64, len(groups))
-	}
-	scores := sc.scores[:len(groups)]
-	sc.scores = scores
-	clear(scores)
-	workers := e.scoringWorkers(len(groups))
-	if workers <= 1 {
-		for i, g := range groups {
-			scores[i] = scoreGroup(g, co)
-		}
-	} else {
-		// Worker-local cost accumulators (pooled with the rest of the
-		// scratch) merged after the join; nil co stays nil per worker.
-		// The whole window is cleared up front — a pooled scratch can
-		// carry stale counts from a prior sweep, and not every worker
-		// slot necessarily spawns.
-		if co != nil {
-			if cap(sc.costs) < workers {
-				sc.costs = make([]obs.Cost, workers)
-			}
-			clear(sc.costs[:workers])
-		}
-		var wg sync.WaitGroup
-		chunk := (len(groups) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			glo, ghi := w*chunk, (w+1)*chunk
-			if ghi > len(groups) {
-				ghi = len(groups)
-			}
-			if glo >= ghi {
-				break
-			}
-			wg.Add(1)
-			e.m.poolTasks.Inc()
-			var wco *obs.Cost
-			if co != nil {
-				wco = &sc.costs[w]
-			}
-			go func(glo, ghi int, wco *obs.Cost) {
-				defer wg.Done()
-				e.m.poolActive.Add(1)
-				defer e.m.poolActive.Add(-1)
-				for i := glo; i < ghi; i++ {
-					scores[i] = scoreGroup(groups[i], wco)
-				}
-			}(glo, ghi, wco)
-		}
-		wg.Wait()
-		if co != nil {
-			for w := 0; w < workers; w++ {
-				co.Add(&sc.costs[w])
-			}
-		}
-	}
-
-	e.finishSingleSource(t0, len(groups))
-	return true
 }
 
 // finishSingleSource flushes the single-source instruments: whole-sweep
@@ -186,7 +211,6 @@ func (e *Estimator) finishSingleSource(t0 time.Time, groups int) {
 func (e *Estimator) TopKWithIndexCost(u hin.NodeID, k int, meet *walk.MeetIndex, co *obs.Cost) []rank.Scored {
 	t0 := e.m.topkLat.Start()
 	sc := ssScratchPool.Get().(*ssScratch)
-	defer ssScratchPool.Put(sc)
 	h := rank.NewTopK(k)
 	if e.scoreCollisions(u, meet, co, sc) {
 		for i, g := range sc.groups {
@@ -195,6 +219,7 @@ func (e *Estimator) TopKWithIndexCost(u hin.NodeID, k int, meet *walk.MeetIndex,
 			}
 		}
 	}
+	ssScratchPool.Put(sc)
 	e.finishTopK(t0, h.Pushes())
 	return h.Sorted()
 }

@@ -176,19 +176,15 @@ type Collision struct {
 	Tau   int   // first-meeting step
 }
 
-// meetMark is one source's per-enumeration state: the last walk slot
-// (plus one) in which it met the query, and how many walk slots met.
-type meetMark struct {
-	walk, count int32
-}
-
-// collisionScratch is the pooled per-enumeration state: a mark per
-// source, a bitmap of the sources that met, and the collisions in
-// enumeration order. Marks and bitmap are all zero between uses.
+// collisionScratch is the pooled state of one enumeration and grouping:
+// a seen flag and a group cursor per source, a bitmap of the sources
+// present, and the ungrouped meetings. Flags, cursors and bitmap are all
+// zero between uses.
 type collisionScratch struct {
-	marks []meetMark
-	met   []uint64
-	raw   []Collision
+	seen   []bool
+	cursor []int32
+	met    []uint64
+	raw    []Collision
 }
 
 var collisionPool = sync.Pool{New: func() any { return new(collisionScratch) }}
@@ -205,46 +201,101 @@ func (m *MeetIndex) Collisions(u hin.NodeID) []Collision {
 	return m.CollisionsAppend(nil, u)
 }
 
-// CollisionsAppend is Collisions appending into buf (which may be nil).
-// Passing a retained buffer makes repeated enumerations allocation-free
-// once the buffer has grown to the query's collision count.
+// CollisionsAppend is Collisions appending into buf (which may be nil):
+// MeetingsAppend over every walk slot, then GroupBySource. Passing a
+// retained buffer makes repeated enumerations allocation-free once the
+// buffer has grown to the query's collision count.
 func (m *MeetIndex) CollisionsAppend(buf []Collision, u hin.NodeID) []Collision {
-	ix := m.ix
+	n := m.ix.n
 	sc := collisionPool.Get().(*collisionScratch)
-	if len(sc.marks) < ix.n {
-		sc.marks = make([]meetMark, ix.n)
-		sc.met = make([]uint64, (ix.n+63)/64)
+	if len(sc.seen) < n {
+		sc.seen = make([]bool, n)
 	}
-	marks := sc.marks
-	// Walks and steps ascend, so the first time a source shows up in
-	// walk i's cells is its first meeting in walk i.
-	raw := sc.raw[:0]
-	vu := ix.View(u, nil)
-	for i := 0; i < ix.nw; i++ {
-		w := vu.Walk(i)
-		stamp := int32(i + 1)
-		for s, l := 0, vu.Len(i); s < l; s++ {
-			for _, o := range m.At(i, s, hin.NodeID(w[s])) {
-				mk := &marks[o]
-				if mk.walk == stamp || o == u {
-					continue
+	sc.raw = m.MeetingsAppend(sc.raw[:0], u, m.ix.View(u, nil), 0, m.ix.nw, sc.seen)
+	buf = sc.group(buf, sc.raw, n)
+	collisionPool.Put(sc)
+	return buf
+}
+
+// MeetingsAppend appends to buf the first meetings of u's walk slots
+// lo..hi-1, ungrouped: by walk, then step, then ascending source within
+// each cell. vu is u's view of the meet index's walk index. seen is a
+// per-source scratch of at least NumNodes entries, all false on entry;
+// it dedupes each walk's meetings and is all false again on return.
+//
+// Walk ranges are independent, so disjoint ranges can be enumerated
+// concurrently (each with its own seen); concatenating the ranges in
+// walk order and grouping them with GroupBySource gives Collisions(u).
+func (m *MeetIndex) MeetingsAppend(buf []Collision, u hin.NodeID, vu NodeView, lo, hi int, seen []bool) []Collision {
+	n, stride := m.ix.n, m.ix.stride
+	// A walk's cells lie far apart in the index, so each is a cache
+	// miss. Reading a run of cell bounds, then the cells' sources, with
+	// no data-dependent branch in between, lets the misses overlap;
+	// the deduplication runs after, on the gathered copy.
+	var cells [16][2]int32
+	for i := lo; i < hi; i++ {
+		start := len(buf)
+		w, l := vu.Walk(i), vu.Len(i)
+		for s0 := 0; s0 < l; s0 += len(cells) {
+			k := min(l-s0, len(cells))
+			base := (i*stride + s0) * n
+			for s := range k {
+				c := base + s*n + int(w[s0+s])
+				cells[s] = [2]int32{m.offsets[c], m.offsets[c+1]}
+			}
+			for s := range k {
+				for _, o := range m.entries[cells[s][0]:cells[s][1]] {
+					buf = append(buf, Collision{Other: o, Walk: int32(i), Tau: s0 + s})
 				}
-				mk.walk = stamp
-				mk.count++
-				sc.met[o>>6] |= 1 << (uint(o) & 63)
-				raw = append(raw, Collision{Other: o, Walk: int32(i), Tau: s})
 			}
 		}
+		// Steps ascend, so the first time a source shows up in walk
+		// i's cells is its first meeting in walk i.
+		kept := start
+		for _, col := range buf[start:] {
+			if seen[col.Other] || col.Other == u {
+				continue
+			}
+			seen[col.Other] = true
+			buf[kept] = col
+			kept++
+		}
+		buf = buf[:kept]
+		for _, col := range buf[start:] {
+			seen[col.Other] = false
+		}
 	}
+	return buf
+}
 
-	// Group by source: one pass over the bitmap turns each met source's
-	// count into its group's start, then a stable scatter keeps walks
-	// ascending within each group.
+// GroupBySource appends raw's collisions to buf grouped by ascending
+// source, keeping raw's order within each source (a stable counting
+// sort); every source must be below n. Grouping MeetingsAppend's walk-
+// ordered output leaves each source's meetings in ascending walk order.
+func GroupBySource(buf, raw []Collision, n int) []Collision {
+	sc := collisionPool.Get().(*collisionScratch)
+	buf = sc.group(buf, raw, n)
+	collisionPool.Put(sc)
+	return buf
+}
+
+func (sc *collisionScratch) group(buf, raw []Collision, n int) []Collision {
+	if len(sc.cursor) < n {
+		sc.cursor = make([]int32, n)
+		sc.met = make([]uint64, (n+63)/64)
+	}
+	cursor := sc.cursor
+	for _, col := range raw {
+		cursor[col.Other]++
+		sc.met[col.Other>>6] |= 1 << (uint(col.Other) & 63)
+	}
+	// One pass over the bitmap turns each present source's count into
+	// its group's start; the scatter then advances the starts.
 	var pos int32
-	for wi, word := range sc.met[:(ix.n+63)/64] {
+	for wi, word := range sc.met[:(n+63)/64] {
 		for ; word != 0; word &= word - 1 {
-			mk := &marks[wi*64+bits.TrailingZeros64(word)]
-			mk.count, pos = pos, pos+mk.count
+			c := &cursor[wi*64+bits.TrailingZeros64(word)]
+			*c, pos = pos, pos+*c
 		}
 		sc.met[wi] = 0
 	}
@@ -252,15 +303,12 @@ func (m *MeetIndex) CollisionsAppend(buf []Collision, u hin.NodeID) []Collision 
 	buf = slices.Grow(buf, len(raw))[:start+len(raw)]
 	out := buf[start:]
 	for _, col := range raw {
-		mk := &marks[col.Other]
-		out[mk.count] = col
-		mk.count++
+		out[cursor[col.Other]] = col
+		cursor[col.Other]++
 	}
 	for _, col := range raw {
-		marks[col.Other] = meetMark{}
+		cursor[col.Other] = 0
 	}
-	sc.raw = raw
-	collisionPool.Put(sc)
 	return buf
 }
 

@@ -218,3 +218,65 @@ func TestCollisionsSorted(t *testing.T) {
 		}
 	}
 }
+
+// checkMeetingRanges checks, for every u, that MeetingsAppend over the
+// walk ranges [0,8), [8,16), ... concatenated in walk order and grouped
+// by GroupBySource equals Collisions(u), and that seen comes back all
+// false after every range.
+func checkMeetingRanges(t *testing.T, ix *Index, m *MeetIndex) {
+	t.Helper()
+	n, nw := ix.Graph().NumNodes(), ix.NumWalks()
+	seen := make([]bool, n)
+	for u := 0; u < n; u++ {
+		vu := ix.View(hin.NodeID(u), nil)
+		var raw []Collision
+		for lo := 0; lo < nw; lo += 8 {
+			raw = m.MeetingsAppend(raw, hin.NodeID(u), vu, lo, min(lo+8, nw), seen)
+			if i := slices.Index(seen, true); i >= 0 {
+				t.Fatalf("u=%d range [%d,%d): seen[%d] left set", u, lo, min(lo+8, nw), i)
+			}
+		}
+		for j := 1; j < len(raw); j++ {
+			a, b := raw[j-1], raw[j]
+			if a.Walk > b.Walk || a.Walk == b.Walk && a.Tau > b.Tau {
+				t.Fatalf("u=%d: meetings %+v then %+v not in walk, then step order", u, a, b)
+			}
+		}
+		if got, want := GroupBySource(nil, raw, n), m.Collisions(hin.NodeID(u)); !slices.Equal(got, want) {
+			t.Fatalf("u=%d: grouped ranges = %v, want Collisions %v", u, got, want)
+		}
+	}
+}
+
+// TestMeetingsRangesGroupToCollisions: the walk-range enumerator and the
+// grouping pass compose to Collisions on resident, lazy and repaired
+// indexes, with more than one range per source.
+func TestMeetingsRangesGroupToCollisions(t *testing.T) {
+	g := roughGraph(t, 40)
+	opts := Options{NumWalks: 20, Length: 7, Seed: 17}
+	resident, lazy := lazyFixture(t, g, opts, 1024, 4000, nil)
+	meet, lazyMeet := BuildMeetIndex(resident), BuildMeetIndex(lazy)
+	checkMeetingRanges(t, resident, meet)
+	checkMeetingRanges(t, lazy, lazyMeet)
+
+	grown := grow(t, g, 6)
+	changed, err := hin.ChangedInNeighborhoodsGrown(g, grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ix   *Index
+		meet *MeetIndex
+	}{{"resident", resident, meet}, {"lazy", lazy, lazyMeet}} {
+		ref, st, err := tc.ix.Refresh(grown, changed, 18)
+		if err != nil {
+			t.Fatalf("%s Refresh: %v", tc.name, err)
+		}
+		repaired, err := tc.meet.Repair(ref, st.Touched)
+		if err != nil {
+			t.Fatalf("%s Repair: %v", tc.name, err)
+		}
+		checkMeetingRanges(t, ref, repaired)
+	}
+}
